@@ -40,7 +40,7 @@
 //! `interference_kernel` bench asserts max I(v) lands inside the
 //! envelope across seeds at 10⁵–10⁷ nodes.
 
-use crate::parallel::{num_threads, par_scatter_u32};
+use crate::parallel::{num_threads, par_map_ranges, par_scatter_u32};
 use rim_geom::{GridCapacityError, SoaGrid, SoaPoints};
 use rim_udg::Topology;
 
@@ -120,6 +120,10 @@ impl StreamInstance {
     ///
     /// A single-node (or empty) instance has no neighbors to reach, so
     /// all nodes are silent and every count is zero.
+    ///
+    /// The radii are computed on [`num_threads`] workers; each is a pure
+    /// function of the positions ([`SoaGrid::nearest_dist_at`]), so the
+    /// instance does not depend on the worker count.
     pub fn with_nn_radii(points: SoaPoints) -> Self {
         match Self::try_with_nn_radii(points) {
             Ok(inst) => inst,
@@ -149,10 +153,23 @@ impl StreamInstance {
             }
         };
         let grid = SoaGrid::try_build(&points, hint)?;
-        let radii: Vec<f64> = (0..grid.len())
-            .map(|k| grid.nearest_dist_at(k).unwrap_or(SILENT))
-            .collect();
+        // The grid keeps its own copy of the coordinates: free the
+        // caller's columns before the radius column is built, which keeps
+        // this stage below the build's peak memory at 10⁷ nodes.
+        std::mem::drop(points);
+        let radii = nn_radii(&grid, num_threads());
         Ok(StreamInstance { grid, radii })
+    }
+
+    /// Transmission radius of every node in original node order, `None`
+    /// for a silent node.
+    // rim-lint: allow(panic-freedom) — `radii` has one entry per grid position and `item(k)` is a permutation of `0..len()`
+    pub fn radii(&self) -> Vec<Option<f64>> {
+        let mut out = vec![None; self.len()];
+        for (k, &r) in self.radii.iter().enumerate() {
+            out[self.grid.item(k)] = if r < 0.0 { None } else { Some(r) };
+        }
+        out
     }
 
     /// Number of nodes in the instance.
@@ -230,6 +247,29 @@ impl StreamInstance {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Nearest-neighbor radius of every bucket position of `grid` (`SILENT`
+/// when the store has no second point), computed over `chunks`
+/// contiguous position ranges ([`par_map_ranges`]) and copied in range
+/// order into one column allocated on the calling thread. (Growing the
+/// first worker's part into the column instead raised the peak RSS of a
+/// 10⁶-node build with two workers from 57 to 72 MB.) Each radius is a
+/// pure function of its position, so the column is bit-identical for
+/// every `chunks >= 1`.
+fn nn_radii(grid: &SoaGrid, chunks: usize) -> Vec<f64> {
+    let n = grid.len();
+    let chunks = chunks.min((n / STREAM_CHUNK).max(1));
+    par_map_ranges(n, chunks, |range| {
+        range
+            .map(|k| grid.nearest_dist_at(k).unwrap_or(SILENT))
+            .collect::<Vec<f64>>()
+    })
+    .into_iter()
+    .fold(Vec::with_capacity(n), |mut radii, part| {
+        radii.extend_from_slice(&part);
+        radii
+    })
 }
 
 /// The Θ(√(log n)) acceptance envelope for max receiver-centric
@@ -315,6 +355,46 @@ mod tests {
             inst.max_interference(),
             reference.iter().copied().max().unwrap_or(0)
         );
+    }
+
+    #[test]
+    fn nn_radii_are_thread_count_invariant() {
+        // A jittered 96×96 lattice: enough positions that every chunk
+        // count up to 8 really splits the column.
+        let pts: Vec<Point> = (0..9216usize)
+            .map(|i| {
+                let jitter = |m: usize| ((i * m) % 97) as f64 / 97.0 * 0.4;
+                Point::new(
+                    (i % 96) as f64 + jitter(7919),
+                    (i / 96) as f64 + jitter(104_729),
+                )
+            })
+            .collect();
+        let grid = SoaGrid::build(&SoaPoints::from_points(&pts), 1.0);
+        let bits = |radii: &[f64]| radii.iter().map(|r| r.to_bits()).collect::<Vec<u64>>();
+        let reference = nn_radii(&grid, 1);
+        assert_eq!(reference.len(), pts.len());
+        for (k, r) in reference.iter().enumerate() {
+            assert_eq!(Some(r.to_bits()), grid.nearest_dist_at(k).map(f64::to_bits));
+        }
+        for chunks in 2..=8 {
+            assert_eq!(
+                bits(&nn_radii(&grid, chunks)),
+                bits(&reference),
+                "chunks={chunks}"
+            );
+        }
+        assert!(nn_radii(&SoaGrid::build(&SoaPoints::new(), 1.0), 4).is_empty());
+    }
+
+    #[test]
+    fn radii_report_original_order_and_silence() {
+        let pts =
+            SoaPoints::from_points(&[Point::new(3.0, 0.0), Point::ORIGIN, Point::new(1.0, 0.0)]);
+        let radii = StreamInstance::with_nn_radii(pts).radii();
+        assert_eq!(radii, vec![Some(2.0), Some(1.0), Some(1.0)]);
+        let one = StreamInstance::with_nn_radii(SoaPoints::from_points(&[Point::ORIGIN]));
+        assert_eq!(one.radii(), vec![None]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use rim_core::receiver::{interference_vector_naive, interference_vector_with, Engine};
 use rim_core::{sqrt_log_envelope, StreamInstance};
-use rim_geom::{Point, SoaPoints};
+use rim_geom::{Point, SoaGrid, SoaPoints};
 use rim_rng::prop::check;
 use rim_rng::{prop_ensure, SmallRng};
 use rim_udg::{NodeSet, Topology};
@@ -221,8 +221,8 @@ fn streaming_agrees_with_indexed_at_scale() {
 
 /// The UDG-free nearest-neighbor path at statistical scale: on a uniform
 /// unit-density instance the maximum receiver-centric interference must
-/// sit inside the Θ(√(log n)) envelope (Devroye–Morin), and the count
-/// must not depend on the worker count.
+/// sit inside the Θ(√(log n)) envelope (Devroye–Morin), and neither the
+/// radii nor the counts may depend on the worker count.
 #[test]
 fn nn_radii_gate_at_1e5() {
     let n: usize = 100_000;
@@ -232,7 +232,24 @@ fn nn_radii_gate_at_1e5() {
     for _ in 0..n {
         soa.push(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
     }
+    // Radius level: the parallel radius column equals a sequential
+    // nearest-neighbor search over an independently built grid with a
+    // different cell size, node for node and bit for bit.
+    let grid = SoaGrid::build(&soa, 2.0);
+    let mut sequential = vec![None; n];
+    for k in 0..grid.len() {
+        sequential[grid.item(k)] = grid.nearest_dist_at(k).map(f64::to_bits);
+    }
     let inst = StreamInstance::with_nn_radii(soa);
+    let radii: Vec<Option<u64>> = inst
+        .radii()
+        .into_iter()
+        .map(|r| r.map(f64::to_bits))
+        .collect();
+    assert_eq!(
+        radii, sequential,
+        "parallel radii differ from a sequential search on another grid"
+    );
     let counts = inst.interference_counts_sharded(4);
     let max = counts.iter().copied().max().unwrap_or(0);
     let (lo, hi) = sqrt_log_envelope(n);

@@ -118,8 +118,8 @@ impl SoaGrid {
         // rim-lint: allow(panic-freedom) — cell coordinates are clamped into the grid
         let cells: Vec<u32> = (0..n)
             .map(|i| {
-                let cx = (((xs[i] - origin.x) / cell).floor() as usize).min(nx - 1);
-                let cy = (((ys[i] - origin.y) / cell).floor() as usize).min(ny - 1);
+                let cx = cell_coord(xs[i], origin.x, cell, nx);
+                let cy = cell_coord(ys[i], origin.y, cell, ny);
                 (cy * nx + cx) as u32
             })
             .collect();
@@ -237,55 +237,126 @@ impl SoaGrid {
     /// radius assignment. Returns `None` for a store with fewer than two
     /// points or an out-of-range position.
     ///
-    /// The result is exact: disk queries are closed and complete, so the
-    /// minimum found inside a query radius is the global minimum, and
-    /// the value is `min dist_sq` followed by a single `sqrt` — bit-equal
-    /// to [`Point::dist`] of the closest pair.
-    // rim-lint: allow(panic-freedom) — `k` is range-checked; ring search only reads clamped buckets
+    /// The search walks Chebyshev rings of cells around the query's own
+    /// cell `(qx, qy)`: first the 3×3 block (rings 0 and 1, one
+    /// contiguous slice per row), then ring 2, 3, …, keeping the minimum
+    /// `dist_sq` of every candidate other than `k`. After ring `j` it
+    /// stops as soon as `best_sq <= fl(g·g)` with
+    /// `g = fl((j − 1/32)·cell)`, or once the rings cover the grid. The
+    /// value is `min dist_sq` followed by one `sqrt`, bit-equal to
+    /// [`Point::dist`] of the closest pair; `dist_sq` values that are
+    /// NaN (a non-finite coordinate) never win. A non-finite query is at
+    /// distance `+∞` or NaN from every point and gets `+∞`.
+    ///
+    /// # Exactness of the stop rule
+    ///
+    /// Write `s` for the cell size, `o` for the grid origin, `u = 2⁻⁵³`
+    /// and `t(x) = fl(fl(x − o) / s)`, so a point's column is `⌊t(x)⌋`
+    /// clamped to `nx − 1` — the one expression (`cell_coord`) used by
+    /// the build for candidates and here for the query. Both roundings
+    /// are relative (a subnormal difference is exact, and a quotient
+    /// `>= 1` is normal), so `t(x) = (x − o)/s · (1 + θ)` with
+    /// `|θ| <= 2u + u²`. For finite coordinates `t(x) <= fl(width / s)`
+    /// by monotonicity, so the clamp never binds, and the build's cell
+    /// budget keeps `nx` below 2³²; hence `|t(x) − (x − o)/s| < 2⁻¹⁹`.
+    /// The same holds per row.
+    ///
+    /// Let rings `0..=j` be scanned, `j >= 1`, and let `p` be an
+    /// unscanned finite point. Its cell is at Chebyshev distance
+    /// `>= j + 1`, say `⌊t(p.x)⌋ >= qx + j + 1` (the other three sides
+    /// are symmetric). With `t(c.x) < qx + 1`, exact arithmetic gives
+    /// `p.x − c.x > s·(j − 2⁻¹⁸) >= s·(j − 1/32)`. Correctly rounded
+    /// operations are monotone, overflow included, and `j − 1/32` is
+    /// exact, so the computed `|dx| >= g`, `dx·dx >= fl(g·g)`, and
+    /// adding `dy·dy >= 0` cannot round below it:
+    /// `dist_sq(p, c) >= fl(g·g) >= best_sq`. An unscanned point with a
+    /// non-finite coordinate has `dist_sq` of `+∞` or NaN, which cannot
+    /// win either. So the scanned superset holds the minimum, and the
+    /// answer equals the `O(n²)` scan bit for bit. A `+∞` cell size
+    /// arises only from an unbounded bounding box and gives a 1×1 grid,
+    /// which the 3×3 block covers.
+    // rim-lint: allow(panic-freedom) — `k` is range-checked; cell coordinates are clamped into the grid and every ring bound is clamped to `0..nx` / `0..ny`
     pub fn nearest_dist_at(&self, k: usize) -> Option<f64> {
         if self.len() < 2 || k >= self.len() {
             return None;
         }
         let c = Point::new(self.sxs[k], self.sys[k]);
-        // Expanding-disk search: a hit inside radius r dominates every
-        // unvisited point (all at distance > r >= hit), so the first
-        // round with any hit yields the true nearest neighbor.
-        let mut r = self.cell;
-        loop {
-            let mut best: Option<f64> = None;
-            self.for_each_pos_in_disk(c, r, |j| {
-                if j == k {
-                    return;
-                }
-                let d = Point::new(self.sxs[j], self.sys[j]).dist_sq(&c);
-                if best.map_or(true, |b| d < b) {
-                    best = Some(d);
-                }
-            });
-            if let Some(d_sq) = best {
-                return Some(d_sq.sqrt());
-            }
-            if r > self.span() + 2.0 * self.cell {
-                // The disk covered the whole grid and found nothing but
-                // `k` itself: the only way this happens is a degenerate
-                // geometry (non-finite coordinates); scan to finish.
-                let mut best = f64::INFINITY;
-                for j in 0..self.len() {
-                    if j != k {
-                        best = best.min(Point::new(self.sxs[j], self.sys[j]).dist_sq(&c));
-                    }
-                }
-                return Some(best.sqrt());
-            }
-            r *= 2.0;
+        if !(c.x.is_finite() && c.y.is_finite()) {
+            return Some(f64::INFINITY);
         }
+        let (nx, ny) = (self.nx, self.ny);
+        let qx = cell_coord(c.x, self.origin.x, self.cell, nx);
+        let qy = cell_coord(c.y, self.origin.y, self.cell, ny);
+        let mut best_sq = f64::INFINITY;
+        let (x0, x1) = (qx.saturating_sub(1), (qx + 1).min(nx - 1));
+        for cy in qy.saturating_sub(1)..=(qy + 1).min(ny - 1) {
+            best_sq = self.row_min_dist_sq(cy, x0, x1, c, k, best_sq);
+        }
+        let mut ring = 1;
+        while !(qx <= ring && qx + ring >= nx - 1 && qy <= ring && qy + ring >= ny - 1) {
+            let gap = (ring as f64 - RING_SLACK) * self.cell;
+            if best_sq <= gap * gap {
+                break;
+            }
+            ring += 1;
+            let (x0, x1) = (qx.saturating_sub(ring), (qx + ring).min(nx - 1));
+            if qy >= ring {
+                best_sq = self.row_min_dist_sq(qy - ring, x0, x1, c, k, best_sq);
+            }
+            if qy + ring < ny {
+                best_sq = self.row_min_dist_sq(qy + ring, x0, x1, c, k, best_sq);
+            }
+            for cy in (qy + 1).saturating_sub(ring)..=(qy + ring - 1).min(ny - 1) {
+                if qx >= ring {
+                    best_sq = self.row_min_dist_sq(cy, qx - ring, qx - ring, c, k, best_sq);
+                }
+                if qx + ring < nx {
+                    best_sq = self.row_min_dist_sq(cy, qx + ring, qx + ring, c, k, best_sq);
+                }
+            }
+        }
+        Some(best_sq.sqrt())
     }
 
-    fn span(&self) -> f64 {
-        let w = self.nx as f64 * self.cell;
-        let h = self.ny as f64 * self.cell;
-        (w * w + h * h).sqrt()
+    /// Folds `dist_sq(p, c)` of every point in cells `x0..=x1` of row
+    /// `cy` (one contiguous slice of the columns), except position `k`,
+    /// into the running minimum `best_sq`. NaN distances never replace it.
+    #[inline]
+    // rim-lint: allow(panic-freedom) — callers clamp `cy < ny` and `x0 <= x1 < nx`, and `starts` has `nx·ny + 1` entries bounding the column slices
+    fn row_min_dist_sq(
+        &self,
+        cy: usize,
+        x0: usize,
+        x1: usize,
+        c: Point,
+        k: usize,
+        mut best_sq: f64,
+    ) -> f64 {
+        let row = cy * self.nx;
+        let lo = self.starts[row + x0] as usize;
+        let hi = self.starts[row + x1 + 1] as usize;
+        for (j, (&x, &y)) in (lo..).zip(self.sxs[lo..hi].iter().zip(&self.sys[lo..hi])) {
+            let d_sq = Point::new(x, y).dist_sq(&c);
+            if d_sq < best_sq && j != k {
+                best_sq = d_sq;
+            }
+        }
+        best_sq
     }
+}
+
+/// Cells of slack in the ring search's stop rule: far above the `2⁻¹⁸`
+/// cells that cell-assignment rounding can cost (see
+/// [`SoaGrid::nearest_dist_at`]), and `j − 1/32` is exact in `f64`.
+const RING_SLACK: f64 = 1.0 / 32.0;
+
+/// Column (or row) of coordinate `v` in a grid with the given origin,
+/// cell size and `n >= 1` columns: `⌊(v − origin)/cell⌋` clamped into
+/// `0..n` (NaN lands in 0). The build and the nearest-neighbor search
+/// both bucket through this one expression.
+#[inline]
+fn cell_coord(v: f64, origin: f64, cell: f64, n: usize) -> usize {
+    (((v - origin) / cell).floor() as usize).min(n - 1)
 }
 
 #[cfg(test)]

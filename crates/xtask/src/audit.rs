@@ -498,6 +498,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "apply_edit",
     "encode_snapshot",
     "decode_snapshot",
+    "try_with_nn_radii",
+    "nearest_dist_at",
 ];
 
 /// Finds the first occurrence of each panicking construct inside a

@@ -777,6 +777,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "remove_node",
     "apply_edit",
     "encode_snapshot",
+    "try_with_nn_radii",
 ];
 
 /// Atomic read-modify-write methods (order-sensitive cross-thread

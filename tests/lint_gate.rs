@@ -95,18 +95,26 @@ fn physical_engine_obligations_stay_registered() {
 #[test]
 fn streaming_kernel_obligations_stay_registered() {
     // The million-node streaming path's standing obligations: both
-    // counting entry points and the sharded scatter primitive carry the
+    // counting entry points, the sharded scatter primitive, the
+    // nearest-neighbor radius build and its ring search carry the
     // panic-freedom closure check, the thread-count-invariant kernels
-    // are determinism roots, and the naive oracle the streaming
-    // differential suite pins against stays retained. Dropping any of
-    // these would silently un-audit the SoA/streaming layer.
-    for root in ["interference_counts", "interference_counts_sharded", "par_scatter_u32"] {
+    // (the parallel radius build among them) are determinism roots, and
+    // the naive oracle the streaming differential suite pins against
+    // stays retained. Dropping any of these would silently un-audit the
+    // SoA/streaming layer.
+    for root in [
+        "interference_counts",
+        "interference_counts_sharded",
+        "par_scatter_u32",
+        "try_with_nn_radii",
+        "nearest_dist_at",
+    ] {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
         );
     }
-    for root in ["interference_counts_sharded", "par_scatter_u32"] {
+    for root in ["interference_counts_sharded", "par_scatter_u32", "try_with_nn_radii"] {
         assert!(
             rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
             "`{root}` must stay in DETERMINISM_ROOTS"
