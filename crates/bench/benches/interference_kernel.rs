@@ -1,10 +1,10 @@
 //! Kernel microbench: the receiver-centric interference engines —
-//! naive `O(n²)` oracle vs indexed vs parallel vs the streaming SoA
-//! kernel — plus the incremental structure on single-edge updates and
-//! the batched sender-centric measure.
+//! naive `O(n²)` oracle vs `auto` (the sharded streaming SoA kernel) —
+//! plus the incremental structure on single-edge updates and the
+//! batched sender-centric measure.
 //!
-//! Claims the JSONL should witness: the indexed engine beats the naive
-//! scan from a few thousand nodes up, a single-edge update through
+//! Claims the JSONL should witness: the auto engine beats the naive
+//! scan from a few hundred nodes up, a single-edge update through
 //! [`DynamicInterference`] beats recomputing from scratch, and the
 //! streaming UDG-free path takes a uniform instance from raw
 //! coordinates to the full interference vector at 10⁵–10⁷ nodes with a
@@ -51,19 +51,9 @@ fn main() {
             );
         }
         h.bench_with(
-            &format!("indexed/{n}"),
-            CaseMeta::engine_sized("indexed", n as u64),
-            || interference_vector_with(&t, Engine::Indexed),
-        );
-        h.bench_with(
-            &format!("parallel/{n}"),
-            CaseMeta::engine_sized("parallel", n as u64),
-            || interference_vector_with(&t, Engine::Parallel),
-        );
-        h.bench_with(
-            &format!("streaming/{n}"),
-            CaseMeta::engine_sized("streaming", n as u64),
-            || StreamInstance::from_topology(&t).interference_counts(),
+            &format!("auto/{n}"),
+            CaseMeta::engine_sized("auto", n as u64),
+            || interference_vector_with(&t, Engine::Auto),
         );
         if n == 512 {
             h.bench_with(&format!("sender/{n}"), CaseMeta::sized(n as u64), || {
@@ -73,7 +63,7 @@ fn main() {
     }
 
     // Single-edge update at n = 4096: toggling one MST edge through the
-    // incremental structure vs recomputing I(G') with the fastest batch
+    // incremental structure vs recomputing I(G') with the default batch
     // kernel. Both closures answer the same question ("what is I(G')
     // after this update?"); the batch path pays the full scatter.
     let n = 4_096usize;
@@ -91,8 +81,8 @@ fn main() {
     );
     h.bench_with(
         &format!("recompute/edge-update/{n}"),
-        CaseMeta::engine_sized("indexed", n as u64),
-        || rim_core::receiver::graph_interference_with(&t, Engine::Indexed),
+        CaseMeta::engine_sized("auto", n as u64),
+        || rim_core::receiver::graph_interference_with(&t, Engine::Auto),
     );
 
     // Million-node tiers: the UDG-free streaming path from raw

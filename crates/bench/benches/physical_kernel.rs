@@ -63,8 +63,8 @@ fn main() {
             let index = build_phys_index(&m);
             sinr_interference_indexed(&m, &index)
         });
-        // The engine-level entry point (index build included), as the
-        // CLI's `--engine physical-indexed` path exercises it.
+        // The model-level entry point (index build included), as
+        // `rim analyze --phy` runs it.
         h.bench(&format!("engine/physical-indexed/{n}"), || {
             physical_interference_vector_with(&m, true)
         });

@@ -1,15 +1,13 @@
 //! Construction bench: the topology-control pipeline across engines —
-//! brute-force witness scans vs index-backed local queries vs the
-//! parallel scatter — for every engine-sensitive baseline at 512–8192
-//! uniform nodes.
+//! brute-force witness scans (`naive`) vs index-backed local queries,
+//! threaded from 2048 nodes (`auto`) — for every engine-sensitive
+//! baseline at 512–8192 uniform nodes.
 //!
 //! Claims the JSONL should witness: index-backed Gabriel and RNG beat
-//! the naive `O(n·m)` witness scans by ≥ 5× at 4096 nodes, and the
-//! parallel engine stacks a further multi-core factor on top at the
-//! larger sizes. Instances keep constant density (side = √n / 2, about
-//! 4 nodes per unit disk-area ⇒ mean degree ≈ 12.5), so per-node
-//! neighborhoods — and thus the indexed per-edge work — stay flat while
-//! `n` grows.
+//! the naive `O(n·m)` witness scans by ≥ 5× at 4096 nodes. Instances
+//! keep constant density (side = √n / 2, about 4 nodes per unit
+//! disk-area ⇒ mean degree ≈ 12.5), so per-node neighborhoods — and
+//! thus the indexed per-edge work — stay flat while `n` grows.
 
 use rim_bench::timing::Harness;
 use rim_core::receiver::Engine;
@@ -31,7 +29,7 @@ fn main() {
         let nodes = rim_workloads::uniform_square(n, (n as f64).sqrt() / 2.0, 3);
         let udg = unit_disk_graph(&nodes);
         for algo in ALGOS {
-            for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+            for engine in Engine::ALL {
                 h.bench(&format!("{}/{}/{n}", algo.name(), engine.name()), || {
                     algo.build_with(&nodes, &udg, engine)
                 });

@@ -68,7 +68,7 @@ fn engines_agree_on_churned_instances() {
         s.run_to_end();
         let (t, _slots) = s.engine().live_topology();
         let want = interference_vector_naive(&t);
-        for engine in [Engine::Indexed, Engine::Parallel] {
+        for engine in Engine::ALL {
             assert_eq!(
                 interference_vector_with(&t, engine),
                 want,

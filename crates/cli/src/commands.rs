@@ -27,12 +27,11 @@ commands:
   control   --algo nnf|mst|gg|rng|yao6|xtc|life|lmst|cbtc|kneigh9|rdg|
                    linear|a-exp|a-gen|a-apx|a-gen2
             --nodes FILE [--out FILE]
-            [--engine naive|indexed|parallel|auto]   (construction pipeline)
+            [--engine naive|auto]   (construction pipeline)
             [--obs human|jsonl]   (spans/counters/histograms on stderr)
             [--timing true]   (alias for --obs human)
   analyze   --nodes FILE --topology FILE
-            [--engine naive|indexed|parallel|physical-naive|physical-indexed|
-                      streaming|auto]
+            [--engine naive|auto]
             [--generate uniform:N]   (skip the files: stream N uniform nodes
               with nearest-neighbor radii through the SoA kernel;
               takes [--seed K] [--side S], no edge list is ever built)
@@ -275,14 +274,14 @@ fn analyze_generated(spec: &str, args: &Args) -> Result<(), UsageError> {
     println!("interference engine:      streaming (nearest-neighbor radii)");
     println!("receiver interference I:  {max}");
     println!("mean node interference:   {mean:.3}");
-    println!(
-        "sqrt(log n) envelope:     [{lo:.2}, {hi:.2}] -> {}",
-        if (f64::from(max) >= lo && f64::from(max) <= hi) || n < 10_000 {
-            "within"
-        } else {
-            "OUTSIDE"
-        }
-    );
+    let verdict = if n < 10_000 {
+        "not checked below 10^4 nodes"
+    } else if (lo..=hi).contains(&f64::from(max)) {
+        "within"
+    } else {
+        "OUTSIDE"
+    };
+    println!("sqrt(log n) envelope:     [{lo:.2}, {hi:.2}] -> {verdict}");
     Ok(())
 }
 
@@ -330,8 +329,8 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
         unit_disk_graph(&nodes)
     };
     let summary = InterferenceSummary::with_engine(&topology, engine);
-    // Physical section computed inside the root span so its kernels show
-    // up in the --obs report.
+    // Everything the report prints is computed inside the root span, so
+    // every stage shows up in the --obs report.
     let phys_report = phys.as_ref().map(|m| {
         let cov = physical_interference_vector_with(m, true);
         let sinr_mw = sinr_interference_with(m, true);
@@ -339,24 +338,34 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
         let worst_mw = sinr_mw.iter().copied().fold(0.0f64, f64::max);
         (worst_cov, worst_mw)
     });
+    let forest = {
+        let _s = rim_obs::span("is_forest");
+        topology.is_forest()
+    };
+    let connected = {
+        let _s = rim_obs::span("preserves_connectivity");
+        topology.preserves_connectivity_of(&udg)
+    };
+    let sender = {
+        let _s = rim_obs::span("sender_interference");
+        sender_graph_interference(&topology)
+    };
+    let energy = {
+        let _s = rim_obs::span("energy");
+        topology.energy(2.0)
+    };
     drop(root);
     emit_obs(mode, rec);
     println!("nodes:                    {}", nodes.len());
     println!("interference engine:      {}", engine.name());
     println!("udg edges / max degree:   {} / {}", udg.num_edges(), udg.max_degree());
     println!("topology edges:           {}", topology.num_edges());
-    println!("is forest:                {}", topology.is_forest());
-    println!(
-        "preserves connectivity:   {}",
-        topology.preserves_connectivity_of(&udg)
-    );
+    println!("is forest:                {forest}");
+    println!("preserves connectivity:   {connected}");
     println!("receiver interference I:  {}", summary.max);
     println!("mean node interference:   {:.3}", summary.mean);
-    println!(
-        "sender-centric measure:   {}",
-        sender_graph_interference(&topology)
-    );
-    println!("energy (alpha = 2):       {:.4}", topology.energy(2.0));
+    println!("sender-centric measure:   {sender}");
+    println!("energy (alpha = 2):       {energy:.4}");
     if let Some(v) = summary.argmax() {
         println!("worst node:               {v} (I = {})", summary.per_node[v]);
     }

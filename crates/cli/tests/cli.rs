@@ -73,7 +73,7 @@ fn generate_control_analyze_pipeline() {
 
     // Every explicit engine selection must report the same numbers.
     let mut reports = Vec::new();
-    for engine in ["naive", "indexed", "parallel", "streaming"] {
+    for engine in ["naive", "auto"] {
         let out = rim()
             .args(["analyze", "--engine", engine, "--nodes"])
             .arg(&nodes)
@@ -107,7 +107,7 @@ fn control_engines_agree_byte_for_byte() {
         .success());
     for algo in ["gg", "rng", "lmst", "xtc", "yao6"] {
         let mut outputs = Vec::new();
-        for engine in ["naive", "indexed", "parallel", "auto"] {
+        for engine in ["naive", "auto"] {
             let out_file = dir.join(format!("{algo}_{engine}.txt"));
             let out = rim()
                 .args(["control", "--algo", algo, "--engine", engine, "--nodes"])
@@ -157,13 +157,18 @@ fn control_rejects_unknown_engine() {
     let dir = tmp_dir("control_bad_engine");
     let nodes = dir.join("nodes.txt");
     std::fs::write(&nodes, "0.0\n0.4\n").unwrap();
-    let out = rim()
-        .args(["control", "--algo", "gg", "--engine", "warp", "--nodes"])
-        .arg(&nodes)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
+    // Retired engine names are unknown too.
+    for engine in ["warp", "indexed", "parallel", "streaming", "physical-indexed"] {
+        let out = rim()
+            .args(["control", "--algo", "gg", "--engine", engine, "--nodes"])
+            .arg(&nodes)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "engine {engine}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown engine"), "engine {engine}: {err}");
+        assert!(err.contains("(expected naive|auto)"), "engine {engine}: {err}");
+    }
 }
 
 #[test]
@@ -173,15 +178,20 @@ fn analyze_rejects_unknown_engine() {
     let topo = dir.join("topo.txt");
     std::fs::write(&nodes, "0.0\n0.4\n").unwrap();
     std::fs::write(&topo, "0 1\n").unwrap();
-    let out = rim()
-        .args(["analyze", "--engine", "warp", "--nodes"])
-        .arg(&nodes)
-        .arg("--topology")
-        .arg(&topo)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
+    // Retired engine names are unknown too.
+    for engine in ["warp", "indexed", "parallel", "streaming", "physical-indexed"] {
+        let out = rim()
+            .args(["analyze", "--engine", engine, "--nodes"])
+            .arg(&nodes)
+            .arg("--topology")
+            .arg(&topo)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "engine {engine}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown engine"), "engine {engine}: {err}");
+        assert!(err.contains("(expected naive|auto)"), "engine {engine}: {err}");
+    }
 }
 
 #[test]
@@ -330,10 +340,10 @@ fn unknown_flags_are_rejected() {
 
 #[test]
 fn analyze_obs_jsonl_emits_spans_and_counters() {
-    // The ISSUE acceptance scenario: a 4096-node uniform instance
-    // analyzed with `--obs jsonl` must emit spans and counters covering
-    // index build, engine dispatch, and disk queries — all on stderr,
-    // with the human report untouched on stdout.
+    // A 4096-node uniform instance analyzed with `--obs jsonl` must
+    // emit spans and counters covering the kernel's grid build, engine
+    // dispatch, disk queries and every later report stage — all on
+    // stderr, with the human report untouched on stdout.
     let dir = tmp_dir("analyze_obs");
     let nodes = dir.join("nodes.txt");
     let topo = dir.join("topo.txt");
@@ -356,7 +366,7 @@ fn analyze_obs_jsonl_emits_spans_and_counters() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let out = rim()
-        .args(["analyze", "--engine", "indexed", "--obs", "jsonl", "--nodes"])
+        .args(["analyze", "--engine", "auto", "--obs", "jsonl", "--nodes"])
         .arg(&nodes)
         .arg("--topology")
         .arg(&topo)
@@ -368,10 +378,14 @@ fn analyze_obs_jsonl_emits_spans_and_counters() {
         "\"kind\":\"meta\"",
         "\"kind\":\"span\"",          // spans present at all
         "\"name\":\"analyze\"",       // CLI root span
-        "interference/index_build",   // spatial index construction
-        "interference/indexed",       // engine dispatch
+        "stream/build_from_topology", // streaming grid construction
+        "interference/auto",          // engine dispatch
         "\"kind\":\"counter\"",
         "core.disk_queries",          // one per receiver in the kernel
+        "\"name\":\"is_forest\"",
+        "\"name\":\"preserves_connectivity\"",
+        "\"name\":\"sender_interference\"",
+        "\"name\":\"energy\"",
     ] {
         assert!(err.contains(needle), "missing {needle} in --obs jsonl output:\n{err}");
     }
@@ -403,30 +417,8 @@ fn analyze_physical_engines_and_phy_sections() {
         .unwrap()
         .success());
 
-    // The physical engines must report the same interference numbers as
-    // the disk engines — the disk-limit theorem, end to end.
-    let mut reports = Vec::new();
-    for engine in ["naive", "physical-naive", "physical-indexed"] {
-        let out = rim()
-            .args(["analyze", "--engine", engine, "--nodes"])
-            .arg(&nodes)
-            .arg("--topology")
-            .arg(&topo)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "engine {engine}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains(&format!("interference engine:      {engine}")));
-        let numbers: Vec<String> = text
-            .lines()
-            .filter(|l| l.starts_with("receiver interference") || l.starts_with("mean node"))
-            .map(String::from)
-            .collect();
-        reports.push(numbers);
-    }
-    assert!(reports.windows(2).all(|w| w[0] == w[1]), "engines disagree: {reports:?}");
-
-    // `--phy disk`: the physical section's interference equals the disk I.
+    // `--phy disk`: the physical section's interference equals the disk
+    // I — the disk-limit theorem, end to end.
     let out = rim()
         .args(["analyze", "--phy", "disk", "--nodes"])
         .arg(&nodes)
@@ -513,6 +505,7 @@ fn analyze_generate_streams_a_uniform_instance() {
     assert!(text.contains("nodes:                    2000 (generated uniform, seed 5"));
     assert!(text.contains("interference engine:      streaming (nearest-neighbor radii)"));
     assert!(text.contains("sqrt(log n) envelope:"));
+    assert!(text.contains("-> not checked below 10^4 nodes"), "{text}");
 
     // Same spec and seed must reproduce the report byte for byte.
     let again = rim()

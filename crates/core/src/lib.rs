@@ -21,14 +21,14 @@
 //!
 //! Module map:
 //!
-//! * [`receiver`] — Definitions 3.1/3.2 (naive oracle plus indexed and
-//!   parallel engines behind [`receiver::Engine`]),
+//! * [`receiver`] — Definitions 3.1/3.2 (the naive oracle and the
+//!   default streaming engine behind [`receiver::Engine`]),
 //! * [`stream`] — the UDG-free streaming kernel in structure-of-arrays
 //!   layout for 10⁶–10⁷-node instances, with the Θ(√(log n))
 //!   statistical envelope for uniform instances,
 //! * [`parallel`] — the scoped-thread range splitter the engines share,
-//! * [`physical`] — SINR physical-layer glue (`rim-phys` re-exports and
-//!   the disk-limit adapter behind the physical engines),
+//! * [`physical`] — SINR physical-layer glue (`rim-phys` re-exports; the
+//!   physical model is a model parameter, not an engine),
 //! * [`sender`] — the link-coverage measure of \[2\] for comparison,
 //! * [`dynamic`] — incrementally maintained interference under link
 //!   insertions/removals,
@@ -55,8 +55,7 @@ pub mod gathering;
 pub mod optimal;
 /// Dependency-free data parallelism on `std::thread::scope`.
 pub mod parallel;
-/// Physical-layer (SINR) model glue: `rim-phys` re-exports plus the
-/// disk-limit adapter behind the physical engines.
+/// Physical-layer (SINR) model glue: `rim-phys` re-exports.
 pub mod physical;
 /// The receiver-centric interference measure (Definitions 3.1 and 3.2).
 pub mod receiver;

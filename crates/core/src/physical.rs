@@ -2,9 +2,9 @@
 //!
 //! Re-exports the physical-layer surface so downstream crates (sim,
 //! cli, bench) reach it through `rim_core::physical` without declaring
-//! their own `rim-phys` dependency, and hosts the disk-limit adapter
-//! the [`crate::receiver::Engine::PhysicalNaive`] /
-//! [`crate::receiver::Engine::PhysicalIndexed`] engines dispatch to.
+//! their own `rim-phys` dependency. The physical model is a model
+//! parameter ([`PhysModel`]), not an [`crate::receiver::Engine`]: the
+//! CLI reaches it through `rim analyze --phy`.
 
 pub use rim_phys::{
     build_phys_index, coverage_range, coverage_vector_indexed, coverage_vector_naive,
@@ -13,25 +13,15 @@ pub use rim_phys::{
     PhysModel, PhysParams, SinrTable,
 };
 
-use rim_udg::Topology;
-
-/// The disk-limit interference vector: instantiate
-/// [`PhysModel::disk_equivalent`] over `t` and run the physical
-/// coverage kernel. By the disk-limit theorem (`DESIGN.md` §11) the
-/// result equals `interference_vector_naive(t)` bit-for-bit — the
-/// contract `tests/physical_differential.rs` pins on every instance
-/// family.
-pub(crate) fn disk_limit_vector(t: &Topology, indexed: bool) -> Vec<usize> {
-    let m = PhysModel::disk_equivalent(t);
-    physical_interference_vector_with(&m, indexed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::receiver::interference_vector_naive;
     use rim_udg::{NodeSet, Topology};
 
+    /// The disk-limit theorem (`DESIGN.md` §11) on a chain: both
+    /// coverage kernels over [`PhysModel::disk_equivalent`] reproduce
+    /// the disk oracle.
     #[test]
     fn disk_limit_vector_matches_the_oracle_on_a_chain() {
         let t = Topology::from_pairs(
@@ -39,7 +29,9 @@ mod tests {
             &[(0, 1), (1, 2), (2, 3)],
         );
         let oracle = interference_vector_naive(&t);
-        assert_eq!(disk_limit_vector(&t, false), oracle);
-        assert_eq!(disk_limit_vector(&t, true), oracle);
+        let m = PhysModel::disk_equivalent(&t);
+        for indexed in [false, true] {
+            assert_eq!(physical_interference_vector_with(&m, indexed), oracle);
+        }
     }
 }

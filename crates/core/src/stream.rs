@@ -18,9 +18,9 @@
 //!
 //! * [`StreamInstance::from_topology`] copies an existing topology's
 //!   radius assignment (silent nodes, `deg = 0`, are marked and skipped
-//!   exactly as the other engines skip them) — this is the path behind
-//!   [`crate::receiver::Engine::Streaming`], and it is differential-
-//!   tested to be **bit-identical** to the indexed engine.
+//!   exactly as the naive oracle skips them) — this is the path behind
+//!   [`crate::receiver::Engine::Auto`], and it is differential-tested
+//!   to be **bit-identical** to [`crate::interference_vector_naive`].
 //! * [`StreamInstance::with_nn_radii`] assigns every node its
 //!   nearest-neighbor distance as radius, entirely from the index —
 //!   the streaming analogue of the nearest-neighbor-forest radius
@@ -407,9 +407,14 @@ mod tests {
             .collect();
         let t = rim_udg::radius::induced_topology(&NodeSet::new(pts), &vec![0.5; 300]);
         let inst = StreamInstance::from_topology(&t);
-        let indexed = interference_vector_with(&t, Engine::Indexed);
+        // The index-backed rim-phys coverage kernel in its disk limit.
+        let m = crate::physical::PhysModel::disk_equivalent(&t);
+        let indexed = crate::physical::physical_interference_vector_with(&m, true);
         let got: Vec<usize> = inst.interference_counts().into_iter().map(|c| c as usize).collect();
         assert_eq!(got, indexed);
+        for e in Engine::ALL {
+            assert_eq!(interference_vector_with(&t, e), indexed, "engine {}", e.name());
+        }
     }
 
     #[test]

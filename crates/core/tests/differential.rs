@@ -5,9 +5,9 @@
 //! is replayed edit-by-edit against from-scratch recomputation.
 //!
 //! The families are chosen to stress different failure modes of the
-//! spatial index: uniform (the grid's home turf), clustered (uneven
-//! bucket population), exponential chains (radius spreads that defeat
-//! any uniform cell and force the kd-tree), collinear instances
+//! streaming kernel's grid: uniform (the grid's home turf), clustered
+//! (uneven bucket population), exponential chains (radius spreads that
+//! defeat any uniform cell), collinear instances
 //! (degenerate bounding boxes), and duplicate coordinates (zero-length
 //! links, boundary ties at `d = 0`).
 
@@ -114,7 +114,7 @@ fn gen_duplicates(rng: &mut SmallRng) -> Topology {
 /// a tolerance: the counts are integers and the predicate is identical.
 fn engines_match_oracle(t: &Topology) -> Result<(), String> {
     let oracle = interference_vector_naive(t);
-    for engine in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+    for engine in Engine::ALL {
         let got = interference_vector_with(t, engine);
         prop_ensure!(
             got == oracle,
@@ -213,7 +213,7 @@ fn gen_trace(rng: &mut SmallRng) -> (Topology, Vec<Edit>) {
 
 /// Replays a full edit trace through [`DynamicInterference`], comparing
 /// the incrementally maintained counts against a from-scratch batch
-/// recomputation (both the naive oracle and the indexed engine) after
+/// recomputation (the naive oracle and every engine) after
 /// *every* step — the incremental structure may never drift, not even
 /// transiently.
 #[test]
@@ -257,10 +257,9 @@ fn differential_incremental_trace_replay() {
                     "after step {step} ({edit:?}) incremental counts diverged\n  \
                      got:    {got:?}\n  oracle: {oracle:?}"
                 );
-                prop_ensure_eq!(
-                    interference_vector_with(&rebuilt, Engine::Indexed),
-                    oracle
-                );
+                for engine in Engine::ALL {
+                    prop_ensure_eq!(interference_vector_with(&rebuilt, engine), oracle);
+                }
                 prop_ensure_eq!(
                     d.graph_interference(),
                     oracle.iter().copied().max().unwrap_or(0)

@@ -1,4 +1,4 @@
-//! Differential layer pinning the physical (SINR) engines to the disk
+//! Differential layer pinning the physical (SINR) kernels to the disk
 //! model — the headline contract of the `rim-phys` crate.
 //!
 //! Three families of assertions, each over the same adversarial
@@ -6,10 +6,11 @@
 //! exponential chain, collinear, duplicate coordinates):
 //!
 //! 1. **Disk limit.** Under [`PhysModel::disk_equivalent`] (`α = 2`,
-//!    `θ = 1 mW`, `p_u = r_u²`, zero shadowing) both physical engines
-//!    produce *exactly* the disk model's interference vector — integer
-//!    equality against `interference_vector_naive`, no tolerance.
-//! 2. **Engine agreement.** Under a *generic* SINR parameterisation
+//!    `θ = 1 mW`, `p_u = r_u²`, zero shadowing) both physical coverage
+//!    kernels (naive and indexed) produce *exactly* the disk model's
+//!    interference vector — integer equality against
+//!    `interference_vector_naive`, no tolerance.
+//! 2. **Kernel agreement.** Under a *generic* SINR parameterisation
 //!    (α = 3, random powers, shadowing) the indexed SINR kernel equals
 //!    the naive `O(n²)` oracle bit-for-bit (`f64::to_bits`), and the
 //!    indexed coverage kernel equals its naive twin.
@@ -17,10 +18,10 @@
 //!    models and interference sums; a different seed moves them.
 
 use rim_core::physical::{
-    coverage_vector_indexed, coverage_vector_naive, sinr_interference_naive,
-    sinr_interference_with, PhysModel, PhysParams,
+    coverage_vector_indexed, coverage_vector_naive, physical_interference_vector_with,
+    sinr_interference_naive, sinr_interference_with, PhysModel, PhysParams,
 };
-use rim_core::receiver::{interference_vector_naive, interference_vector_with, Engine};
+use rim_core::receiver::interference_vector_naive;
 use rim_geom::Point;
 use rim_rng::prop::check;
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
@@ -133,14 +134,16 @@ fn generic_model(rng: &mut SmallRng, t: &Topology) -> PhysModel {
 /// The disk-limit contract plus indexed-vs-naive SINR agreement, checked
 /// on one instance.
 fn physical_matches_disk(t: &Topology) -> Result<(), String> {
-    // 1. Disk limit: both physical engines equal the disk oracle exactly.
+    // 1. Disk limit: both physical coverage kernels equal the disk
+    //    oracle exactly.
     let oracle = interference_vector_naive(t);
-    for engine in [Engine::PhysicalNaive, Engine::PhysicalIndexed] {
-        let got = interference_vector_with(t, engine);
+    let disk = PhysModel::disk_equivalent(t);
+    for indexed in [false, true] {
+        let got = physical_interference_vector_with(&disk, indexed);
         prop_ensure!(
             got == oracle,
-            "engine {} diverged from the disk oracle\n  got:    {:?}\n  oracle: {:?}",
-            engine.name(),
+            "physical kernel (indexed = {indexed}) diverged from the disk oracle\n  \
+             got:    {:?}\n  oracle: {:?}",
             got,
             oracle
         );

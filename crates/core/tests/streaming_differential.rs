@@ -2,8 +2,8 @@
 //! kernel: [`StreamInstance`] must agree *exactly* — bit for bit, not
 //! within a tolerance — with [`interference_vector_naive`], the `O(n²)`
 //! oracle transcribing Definition 3.1, across the same five adversarial
-//! instance families the indexed engines are pinned by
-//! (`differential.rs`), and the sharded accumulator variant must be
+//! instance families the engines are pinned by (`differential.rs`),
+//! and the sharded accumulator variant must be
 //! invariant in the worker count.
 //!
 //! The family generators are deliberately duplicated from
@@ -11,6 +11,7 @@
 //! self-contained witness, so a refactor of one cannot silently weaken
 //! the other.
 
+use rim_core::physical::{physical_interference_vector_with, PhysModel};
 use rim_core::receiver::{interference_vector_naive, interference_vector_with, Engine};
 use rim_core::{sqrt_log_envelope, StreamInstance};
 use rim_geom::{Point, SoaGrid, SoaPoints};
@@ -132,6 +133,13 @@ fn streaming_matches_oracle(t: &Topology) -> Result<(), String> {
             oracle
         );
     }
+    for engine in Engine::ALL {
+        prop_ensure!(
+            interference_vector_with(t, engine) == oracle,
+            "engine {} diverged from the naive oracle",
+            engine.name()
+        );
+    }
     Ok(())
 }
 
@@ -187,9 +195,11 @@ fn streaming_matches_oracle_at_2048() {
     }
 }
 
-/// Mid-scale agreement with the indexed engine, where the `O(n²)` oracle
-/// is no longer practical: the streaming path and the grid-indexed path
-/// must still be integer-identical on the same topology.
+/// Mid-scale agreement with an index-backed kernel, where the `O(n²)`
+/// oracle is no longer practical: the streaming path and the
+/// [`rim_geom::SpatialIndex`]-backed coverage kernel of `rim-phys`, in its
+/// disk-equivalent instantiation, must still be integer-identical on the
+/// same topology.
 #[test]
 fn streaming_agrees_with_indexed_at_scale() {
     let mut rng = SmallRng::seed_from_u64(9);
@@ -199,7 +209,7 @@ fn streaming_agrees_with_indexed_at_scale() {
         .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
         .collect();
     // A sparse chain plus random shortcuts keeps radii local, so the
-    // indexed engine's disk queries stay cheap in debug builds.
+    // indexed kernel's disk queries stay cheap in debug builds.
     let mut pairs: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
     let mut extra = std::collections::HashSet::new();
     for _ in 0..n / 4 {
@@ -210,13 +220,14 @@ fn streaming_agrees_with_indexed_at_scale() {
     }
     let t = Topology::from_pairs(NodeSet::new(pts), &pairs);
 
-    let indexed = interference_vector_with(&t, Engine::Indexed);
+    let indexed = physical_interference_vector_with(&PhysModel::disk_equivalent(&t), true);
     let streaming: Vec<usize> = StreamInstance::from_topology(&t)
         .interference_counts()
         .into_iter()
         .map(|c| c as usize)
         .collect();
     assert_eq!(streaming, indexed);
+    assert_eq!(interference_vector_with(&t, Engine::Auto), indexed);
 }
 
 /// The UDG-free nearest-neighbor path at statistical scale: on a uniform

@@ -7,8 +7,9 @@
 //!    runs (the `Debug` rendering is compared, so even float formatting
 //!    must match bit for bit).
 //! 2. Different thread counts — exercised by building the input topology
-//!    under the naive, indexed, and parallel construction engines, which
-//!    use 0, 0, and N worker threads respectively — ⇒ identical metrics
+//!    under the naive and auto construction engines (no worker threads
+//!    at this size) and the index-backed construction on N worker
+//!    threads — ⇒ identical metrics
 //!    AND identical event-count counters. This pins down any hidden
 //!    iteration-order dependence that the obs counters themselves could
 //!    otherwise mask.
@@ -20,6 +21,7 @@
 use rim_core::receiver::Engine;
 use rim_geom::Point;
 use rim_sim::{MacConfig, SimConfig, Simulator, TrafficConfig};
+use rim_topology_control::gabriel::gabriel_graph_parallel;
 use rim_topology_control::Baseline;
 use rim_udg::udg::unit_disk_graph;
 use rim_udg::NodeSet;
@@ -77,10 +79,10 @@ fn churn_runs_are_deterministic_and_engine_invariant() {
     assert!(a.lines().count() >= 8, "checkpoints did not sample the run");
 
     // Claim 2: the churned end state reads the same under every engine
-    // (the parallel engine shards across worker threads internally).
+    // (the naive oracle and the streaming kernel behind `Auto`).
     let (t, slots) = sim_a.engine().live_topology();
     let want = interference_vector_naive(&t);
-    for engine in [Engine::Indexed, Engine::Parallel] {
+    for engine in Engine::ALL {
         assert_eq!(
             interference_vector_with(&t, engine),
             want,
@@ -100,7 +102,7 @@ fn runs_are_deterministic_and_thread_count_invariant() {
     let cfg = config();
 
     // Claim 1: identical seed and thread count ⇒ byte-identical metrics.
-    let topology = Baseline::Gabriel.build_with(&ns, &udg, Engine::Indexed);
+    let topology = Baseline::Gabriel.build_with(&ns, &udg, Engine::Auto);
     let first = Simulator::new(topology.clone(), cfg).run();
     let second = Simulator::new(topology, cfg).run();
     assert!(first.generated > 0, "traffic must actually flow");
@@ -111,16 +113,21 @@ fn runs_are_deterministic_and_thread_count_invariant() {
     );
 
     // Claim 2: construction thread count must not leak into the run.
-    // The three engines use different thread counts internally, so the
+    // The builds below use different thread counts internally, so the
     // metrics AND the simulator's event counters must agree across them.
     let rec = rim_obs::install_recorder();
     let mut outcomes: Vec<(String, u64)> = Vec::new();
-    for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
-        let topology = Baseline::Gabriel.build_with(&ns, &udg, engine);
+    let threads = rim_core::parallel::num_threads().max(2);
+    let builds = [
+        (Engine::Naive.name(), Baseline::Gabriel.build_with(&ns, &udg, Engine::Naive)),
+        (Engine::Auto.name(), Baseline::Gabriel.build_with(&ns, &udg, Engine::Auto)),
+        ("threaded", gabriel_graph_parallel(&ns, &udg, threads)),
+    ];
+    for (label, topology) in builds {
         let before = rec.counter("sim.events");
         let metrics = Simulator::new(topology, cfg).run();
         let events = rec.counter("sim.events") - before;
-        assert!(events > 0, "engine {}: no events recorded", engine.name());
+        assert!(events > 0, "{label}: no events recorded");
         outcomes.push((format!("{metrics:?}"), events));
     }
     assert!(

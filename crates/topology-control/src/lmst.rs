@@ -17,12 +17,12 @@
 //! reproduced paper applies to it.
 //!
 //! Engines: the naive path re-runs the original per-node construction
-//! (fresh allocations, `O(deg)` adjacency probes). The fast path feeds
+//! (fresh allocations, `O(deg)` adjacency probes). The `Auto` path feeds
 //! the *identical* local edge list to the same Kruskal through reusable
 //! scratch buffers and an `O(1)` per-node local-id map, so selections —
-//! and therefore the output — are equal by construction; `Parallel`
-//! fans the per-node stage out over the shared executor with one
-//! scratch per worker.
+//! and therefore the output — are equal by construction; on large
+//! instances it fans the per-node stage out over the shared executor
+//! with one scratch per worker.
 
 use crate::pipeline;
 use rim_core::receiver::Engine;
@@ -149,7 +149,7 @@ impl Scratch {
 }
 
 /// Per-node selections for the chosen engine; `threads` only applies to
-/// the parallel path.
+/// the scratch-buffer path.
 fn selections(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -159,11 +159,7 @@ fn selections(
     let n = nodes.len();
     match engine {
         Engine::Naive => (0..n).map(|u| local_selection_naive(nodes, udg, u)).collect(),
-        Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            let mut scratch = Scratch::new(n);
-            (0..n).map(|u| scratch.selection(nodes, udg, u)).collect()
-        }
-        Engine::Parallel | Engine::Auto => rim_par::par_map_ranges(n, threads, |range| {
+        Engine::Auto => rim_par::par_map_ranges(n, threads, |range| {
             let mut scratch = Scratch::new(n);
             range
                 .map(|u| scratch.selection(nodes, udg, u))
@@ -184,17 +180,13 @@ pub fn lmst_with(
     variant: LmstVariant,
     engine: Engine,
 ) -> Topology {
-    let resolved = pipeline::resolve(engine, nodes.len());
-    let threads = match resolved {
-        Engine::Parallel | Engine::Auto => rim_par::num_threads(),
-        _ => 1,
-    };
-    lmst_assemble(nodes, udg, variant, selections(nodes, udg, resolved, threads))
+    let threads = pipeline::auto_workers(nodes.len());
+    lmst_assemble(nodes, udg, variant, selections(nodes, udg, engine, threads))
 }
 
 /// Scratch-buffer construction across an explicit number of worker
-/// threads (`1` = the indexed engine, inline). The edge set is
-/// independent of `threads` by construction.
+/// threads (`1` = inline). The edge set is independent of `threads` by
+/// construction.
 pub fn lmst_parallel(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -205,7 +197,7 @@ pub fn lmst_parallel(
         nodes,
         udg,
         variant,
-        selections(nodes, udg, Engine::Parallel, threads),
+        selections(nodes, udg, Engine::Auto, threads),
     )
 }
 
@@ -343,7 +335,7 @@ mod tests {
         let udg = unit_disk_graph(&ns);
         for variant in [LmstVariant::Intersection, LmstVariant::Union] {
             let oracle = lmst_with(&ns, &udg, variant, Engine::Naive);
-            for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+            for e in Engine::ALL {
                 let t = lmst_with(&ns, &udg, variant, e);
                 assert_eq!(oracle.edges(), t.edges(), "engine {} {variant:?}", e.name());
             }

@@ -4,15 +4,17 @@
 //! (Gabriel, RNG, XTC) or computes a per-node local structure (LMST,
 //! Yao) funnels through the helpers here:
 //!
-//! * [`witness_index`] builds the same [`SpatialIndex`] the interference
-//!   engine scatters over, hinted by the median UDG edge length — the
-//!   dominant witness-query radius.
+//! * [`witness_index`] builds a [`SpatialIndex`] over the node
+//!   positions, hinted by the median UDG edge length — the dominant
+//!   witness-query radius.
 //! * [`filter_edges`] fans an edge predicate out over the shared chunked
 //!   scoped-thread executor ([`rim_par::par_map_ranges`]) and assembles
 //!   the kept edges *in input order*, so every engine produces the same
 //!   adjacency structure, not merely the same edge set.
-//! * [`resolve`] maps [`Engine::Auto`] to a concrete engine by instance
-//!   size, mirroring the interference kernels' policy.
+//! * [`auto_workers`] is the `Engine::Auto` construction policy: the
+//!   index-backed `*_parallel` path of every construction, threaded
+//!   from [`AUTO_PARALLEL_MIN`] nodes on. `Engine::Naive` runs the
+//!   retained witness oracles instead.
 //!
 //! Correctness of the index-backed witnesses rests on a locality
 //! argument: any Gabriel witness `w` of `{u, v}` satisfies
@@ -24,40 +26,22 @@
 //! exact naive predicate is re-evaluated on the candidates it returns,
 //! so index-backed construction equals the brute-force scan bit for bit.
 
-use rim_core::receiver::Engine;
 use rim_geom::SpatialIndex;
 use rim_graph::{AdjacencyList, Edge};
 use rim_udg::NodeSet;
 
-/// Below this node count the all-node witness scan beats an index build.
-pub(crate) const AUTO_NAIVE_MAX: usize = 64;
 /// From this node count on, threads amortize their spawn cost for
 /// construction workloads.
 pub(crate) const AUTO_PARALLEL_MIN: usize = 2048;
 
-/// Resolves [`Engine::Auto`] for a construction over `n` nodes: naive
-/// below [`AUTO_NAIVE_MAX`], parallel from [`AUTO_PARALLEL_MIN`] when
-/// more than one core is available, indexed in between. The physical
-/// (SINR) engines only change how *interference* is evaluated, not how
-/// geometric constructions run, so they normalize to their disk-side
-/// strategy twins here.
-pub(crate) fn resolve(engine: Engine, n: usize) -> Engine {
-    match engine {
-        Engine::Auto => {
-            if n < AUTO_NAIVE_MAX {
-                Engine::Naive
-            } else if n >= AUTO_PARALLEL_MIN && rim_par::num_threads() > 1 {
-                Engine::Parallel
-            } else {
-                Engine::Indexed
-            }
-        }
-        Engine::PhysicalNaive => Engine::Naive,
-        Engine::PhysicalIndexed => Engine::Indexed,
-        // The streaming interference kernel has no witness-construction
-        // analogue; it normalizes to the indexed strategy likewise.
-        Engine::Streaming => Engine::Indexed,
-        e => e,
+/// Worker threads of the `Engine::Auto` construction over `n` nodes:
+/// the machine's thread count from [`AUTO_PARALLEL_MIN`] nodes on, one
+/// (inline) below.
+pub(crate) fn auto_workers(n: usize) -> usize {
+    if n >= AUTO_PARALLEL_MIN {
+        rim_par::num_threads()
+    } else {
+        1
     }
 }
 
@@ -65,8 +49,7 @@ pub(crate) fn resolve(engine: Engine, n: usize) -> Engine {
 /// positions, with the median UDG edge length as the cell hint (witness
 /// queries use radius `|uv|` of the edge under test, so the median edge
 /// balances bucket population against buckets touched). Falls back to a
-/// kd-tree on degenerate spreads exactly as the interference engine
-/// does.
+/// kd-tree on degenerate spreads.
 // rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
 pub fn witness_index(nodes: &NodeSet, udg: &AdjacencyList) -> SpatialIndex {
     let _span = rim_obs::span("control/witness_index");
@@ -115,12 +98,10 @@ mod tests {
 
     #[test]
     fn auto_resolution_matches_size_policy() {
-        assert_eq!(resolve(Engine::Auto, 10), Engine::Naive);
-        let mid = resolve(Engine::Auto, 1000);
-        assert!(mid == Engine::Indexed, "mid-size must avoid thread spawn");
-        for e in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
-            assert_eq!(resolve(e, 5000), e, "explicit engines pass through");
-        }
+        assert_eq!(auto_workers(10), 1);
+        assert_eq!(auto_workers(1000), 1, "mid-size must avoid thread spawn");
+        assert_eq!(auto_workers(AUTO_PARALLEL_MIN), rim_par::num_threads());
+        assert_eq!(auto_workers(5000), rim_par::num_threads());
     }
 
     #[test]

@@ -45,15 +45,15 @@ pub fn is_rng_edge(nodes: &NodeSet, index: &SpatialIndex, u: usize, v: usize) ->
 }
 
 /// Builds the RNG restricted to UDG edges with an explicit [`Engine`]:
-/// `Naive` scans all nodes per edge (`O(n·m)`), `Indexed` runs one local
-/// disk query per edge, `Parallel` fans the queries out over the shared
-/// executor. All engines return the same topology.
+/// `Naive` scans all nodes per edge (`O(n·m)`), `Auto` runs one local
+/// disk query per edge, fanned out over the shared executor on large
+/// instances. Both engines return the same topology.
 pub fn relative_neighborhood_graph_with(
     nodes: &NodeSet,
     udg: &AdjacencyList,
     engine: Engine,
 ) -> Topology {
-    match pipeline::resolve(engine, nodes.len()) {
+    match engine {
         Engine::Naive => {
             let mut g = AdjacencyList::new(nodes.len());
             for e in udg.edges() {
@@ -63,17 +63,14 @@ pub fn relative_neighborhood_graph_with(
             }
             Topology::from_graph(nodes.clone(), g)
         }
-        Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            relative_neighborhood_graph_parallel(nodes, udg, 1)
-        }
-        Engine::Parallel | Engine::Auto => {
-            relative_neighborhood_graph_parallel(nodes, udg, rim_par::num_threads())
+        Engine::Auto => {
+            relative_neighborhood_graph_parallel(nodes, udg, pipeline::auto_workers(nodes.len()))
         }
     }
 }
 
 /// Index-backed construction across an explicit number of worker
-/// threads (`1` = the indexed engine, inline). The edge set is
+/// threads (`1` = inline). The edge set is
 /// independent of `threads` by construction.
 pub fn relative_neighborhood_graph_parallel(
     nodes: &NodeSet,
@@ -158,7 +155,7 @@ mod tests {
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
         let oracle = relative_neighborhood_graph_with(&ns, &udg, Engine::Naive);
-        for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+        for e in Engine::ALL {
             let t = relative_neighborhood_graph_with(&ns, &udg, e);
             assert_eq!(oracle.edges(), t.edges(), "engine {}", e.name());
         }

@@ -1,7 +1,7 @@
 //! Differential-oracle tests for the construction pipeline.
 //!
 //! Per the workspace oracle policy (DESIGN.md §6/§7), the brute-force
-//! witness scans are retained verbatim and every fast engine must
+//! witness scans are retained verbatim and the fast engine must
 //! reproduce them **exactly** — same edge set, not approximately — on
 //! five instance families: uniform, clustered, exponential-chain,
 //! collinear, and duplicate-coordinate (the degenerate ones stress the
@@ -108,7 +108,7 @@ fn every_engine_matches_the_naive_oracle_on_all_families() {
         let udg = unit_disk_graph(&ns);
         for algo in PIPELINE_ALGOS {
             let oracle = edge_set(&algo.build_with(&ns, &udg, Engine::Naive));
-            for engine in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+            for engine in Engine::ALL {
                 let fast = edge_set(&algo.build_with(&ns, &udg, engine));
                 assert_eq!(
                     oracle,
@@ -153,7 +153,7 @@ fn lmst_union_variant_is_engine_invariant_too() {
     for (family, ns) in families() {
         let udg = unit_disk_graph(&ns);
         let oracle = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, Engine::Naive));
-        for engine in [Engine::Indexed, Engine::Parallel] {
+        for engine in Engine::ALL {
             let fast = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, engine));
             assert_eq!(oracle, fast, "family={family} engine={}", engine.name());
         }
@@ -167,7 +167,7 @@ fn engine_insensitive_baselines_ignore_the_selection() {
     let udg = unit_disk_graph(&ns);
     for algo in [Baseline::Nnf, Baseline::Emst, Baseline::Life, Baseline::Cbtc] {
         let a = edge_set(&algo.build_with(&ns, &udg, Engine::Naive));
-        let b = edge_set(&algo.build_with(&ns, &udg, Engine::Parallel));
+        let b = edge_set(&algo.build_with(&ns, &udg, Engine::Auto));
         assert_eq!(a, b, "algo={}", algo.name());
     }
 }

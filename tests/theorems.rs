@@ -121,15 +121,15 @@ fn theorem_5_6_aapx_approximation_ratio() {
     }
 }
 
-/// Figure 7 again, pinned through each concrete engine: the theorem
-/// regressions must not depend on `Auto`'s size-based dispatch, so the
-/// indexed and parallel kernels are asserted against the same exact
-/// `n − 2` closed form (and `Naive` documents the oracle's verdict).
+/// Figure 7 again, pinned through each engine: the theorem regressions
+/// must not depend on which engine `Auto` dispatches to, so the oracle
+/// and the streaming kernel are both asserted against the same exact
+/// `n − 2` closed form.
 #[test]
 fn figure_7_linear_chain_interference_pinned_engines() {
     for n in [8usize, 32, 128] {
         let t = exponential_chain(n).linear_topology();
-        for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+        for engine in Engine::ALL {
             assert_eq!(
                 graph_interference_with(&t, engine),
                 n - 2,
@@ -140,44 +140,47 @@ fn figure_7_linear_chain_interference_pinned_engines() {
     }
 }
 
-/// Theorems 5.1 + 5.2 pinned through the indexed engine: the `√n`
-/// sandwich must hold on the exact counts the spatial index produces —
-/// exponential chains are precisely the instances whose radius spread
-/// forces the kd-tree backend.
+/// Theorems 5.1 + 5.2 pinned through every engine: the `√n` sandwich
+/// must hold on the exact counts each kernel produces — exponential
+/// chains are precisely the instances whose radius spread defeats any
+/// uniform grid cell.
 #[test]
 fn theorem_5_1_and_5_2_aexp_sandwich_pinned_indexed() {
     for n in [16usize, 64, 144, 256] {
         let c = exponential_chain(n);
         let t = a_exp(&c).topology;
-        let i = graph_interference_with(&t, Engine::Indexed) as f64;
-        assert!(i >= exponential_chain_lower_bound(n).floor(), "n={n}: I={i}");
-        assert!(i <= (2.0 * n as f64).sqrt() + 1.0, "n={n}: I={i}");
-        assert_eq!(
-            graph_interference_with(&t, Engine::Indexed),
-            graph_interference_with(&t, Engine::Naive),
-            "n={n}: indexed engine diverged from the oracle"
-        );
+        let oracle = graph_interference_with(&t, Engine::Naive);
+        for engine in Engine::ALL {
+            let got = graph_interference_with(&t, engine);
+            let (i, name) = (got as f64, engine.name());
+            assert!(i >= exponential_chain_lower_bound(n).floor(), "n={n} {name}: I={i}");
+            assert!(i <= (2.0 * n as f64).sqrt() + 1.0, "n={n} {name}: I={i}");
+            assert_eq!(got, oracle, "n={n}: engine {name} diverged from the oracle");
+        }
     }
 }
 
-/// Theorem 4.1 pinned through the indexed engine: the `Ω(n)` NNF gap on
-/// the two-chain construction, with both sides of the ratio computed by
-/// the spatial-index kernel.
+/// Theorem 4.1 pinned through every engine: the `Ω(n)` NNF gap on the
+/// two-chain construction, with both sides of the ratio computed by
+/// each kernel.
 #[test]
 fn theorem_4_1_nnf_gap_pinned_indexed() {
-    let mut prev_ratio = 0.0;
-    for k in [6usize, 12, 24, 48] {
-        let tc = two_chains(k);
-        let udg = unit_disk_graph(&tc.nodes);
-        let nnf = nearest_neighbor_forest(&tc.nodes, &udg);
-        let witness = tc.witness_topology();
-        let i_nnf = graph_interference_with(&nnf, Engine::Indexed);
-        let i_wit = graph_interference_with(&witness, Engine::Indexed);
-        assert!(i_nnf >= k - 1, "k={k}: I(NNF)={i_nnf}");
-        assert!(i_wit <= 8, "k={k}: I(witness)={i_wit}");
-        let ratio = i_nnf as f64 / i_wit as f64;
-        assert!(ratio > prev_ratio, "k={k}: ratio must grow");
-        prev_ratio = ratio;
+    for engine in Engine::ALL {
+        let mut prev_ratio = 0.0;
+        for k in [6usize, 12, 24, 48] {
+            let tc = two_chains(k);
+            let udg = unit_disk_graph(&tc.nodes);
+            let nnf = nearest_neighbor_forest(&tc.nodes, &udg);
+            let witness = tc.witness_topology();
+            let i_nnf = graph_interference_with(&nnf, engine);
+            let i_wit = graph_interference_with(&witness, engine);
+            let name = engine.name();
+            assert!(i_nnf >= k - 1, "k={k} {name}: I(NNF)={i_nnf}");
+            assert!(i_wit <= 8, "k={k} {name}: I(witness)={i_wit}");
+            let ratio = i_nnf as f64 / i_wit as f64;
+            assert!(ratio > prev_ratio, "k={k} {name}: ratio must grow");
+            prev_ratio = ratio;
+        }
     }
 }
 
