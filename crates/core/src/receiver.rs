@@ -8,9 +8,9 @@
 //!   differential-tested against it.
 //! * [`Engine::Auto`], the default, runs the structure-of-arrays
 //!   streaming kernel of [`crate::stream`]: the topology's radii are
-//!   carried into a bucket-permuted grid and one closed-disk query per
-//!   transmitter is scattered into sharded `u32` counts, without
-//!   touching the edge list.
+//!   carried into the workspace's static grid ([`rim_geom::SoaGrid`])
+//!   and one closed-disk query per transmitter is scattered into
+//!   sharded `u32` counts, without touching the edge list.
 //!
 //! Both evaluate the identical predicate `deg(u) > 0 && dist(u,v) <=
 //! r_u` at distance level, so they agree *exactly*, not approximately,
@@ -24,7 +24,7 @@
 
 use crate::parallel::num_threads;
 use crate::stream::StreamInstance;
-use rim_geom::SpatialIndex;
+use rim_geom::{median_hint, SpatialIndex};
 use rim_udg::Topology;
 
 /// Strategy selector for the batch interference kernels and the
@@ -116,21 +116,15 @@ pub fn interference_vector_naive(t: &Topology) -> Vec<usize> {
 }
 
 /// Builds a spatial index over the topology's nodes for coverage
-/// queries: the median positive radius makes a good cell hint (it
-/// balances bucket population against buckets touched per query), and
-/// [`SpatialIndex::build`] falls back to a kd-tree when the spread
-/// defeats any uniform cell. Layers computing coverage relations (e.g.
-/// the simulator's PHY tables) share this heuristic.
-// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
+/// queries: the static [`rim_geom::SoaGrid`], hinted by the
+/// [`median_hint`] of the positive radii (it balances bucket population
+/// against buckets touched per query), or a kd-tree when the spread
+/// defeats any uniform cell ([`SpatialIndex::build`] decides). Layers
+/// computing coverage relations (e.g. the simulator's PHY tables) share
+/// this heuristic.
 pub fn build_index(t: &Topology) -> SpatialIndex {
     let _span = rim_obs::span("interference/index_build");
-    let mut radii: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
-    let hint = if radii.is_empty() {
-        1.0 // edgeless: nobody transmits, any index shape works
-    } else {
-        radii.sort_unstable_by(f64::total_cmp);
-        radii[radii.len() / 2]
-    };
+    let hint = median_hint(t.radii().iter().copied().filter(|&r| r > 0.0).collect());
     SpatialIndex::build(t.nodes().points(), hint)
 }
 

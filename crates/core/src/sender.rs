@@ -19,7 +19,7 @@
 //! is twofold: coverage is charged at the *sender* side, and the measure
 //! can jump by `Θ(n)` when one node is added ([`crate::robustness`]).
 
-use rim_geom::SpatialIndex;
+use rim_geom::{median_hint, SpatialIndex};
 use rim_udg::Topology;
 
 /// Coverage of the (hypothetical or actual) link `{u, v}`: how many nodes
@@ -71,9 +71,7 @@ pub fn coverage_vector(t: &Topology) -> Vec<usize> {
     }
     let nodes = t.nodes();
     // Cell hint: the median link length — the dominant query radius.
-    let mut lens: Vec<f64> = edges.iter().map(|e| e.weight).collect();
-    lens.sort_unstable_by(f64::total_cmp);
-    let hint = lens[lens.len() / 2];
+    let hint = median_hint(edges.iter().map(|e| e.weight).collect());
     let index = SpatialIndex::build(nodes.points(), hint);
     // Stamp-based dedup of the two-disk union, reused across edges.
     let mut stamp = vec![0u32; nodes.len()];

@@ -41,7 +41,7 @@
 //! envelope across seeds at 10⁵–10⁷ nodes.
 
 use crate::parallel::{num_threads, par_map_ranges, par_scatter_u32};
-use rim_geom::{GridCapacityError, SoaGrid, SoaPoints};
+use rim_geom::{median_hint, GridCapacityError, SoaGrid, SoaPoints};
 use rim_udg::Topology;
 
 /// Target number of senders per parallel chunk (matches the batch
@@ -93,13 +93,7 @@ impl StreamInstance {
         let points = SoaPoints::from_points(t.nodes().points());
         // Same cell hint as `receiver::build_index`: the median positive
         // radius balances bucket population against buckets per query.
-        let mut positive: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
-        let hint = if positive.is_empty() {
-            1.0
-        } else {
-            positive.sort_unstable_by(f64::total_cmp);
-            positive[positive.len() / 2]
-        };
+        let hint = median_hint(t.radii().iter().copied().filter(|&r| r > 0.0).collect());
         let grid = SoaGrid::build(&points, hint);
         let radii: Vec<f64> = (0..grid.len())
             .map(|k| {

@@ -1,23 +1,30 @@
-//! Uniform bucket grid — the workhorse spatial index.
+//! Bucket-grid layout: the one place the static grid's shape is decided.
 //!
-//! Interference queries repeatedly ask "which points lie within distance
-//! `r` of `p`?". For the point densities of ad-hoc network instances a
-//! uniform grid with cell size matched to the typical query radius answers
-//! this in output-sensitive time and with far better constants than a tree.
+//! [`crate::SoaGrid`] (and, through it, [`crate::SpatialIndex`]) buckets
+//! points into a uniform grid of square cells. This module holds the
+//! pieces of that layout that are policy rather than data structure:
+//!
+//! * the `u32` item capacity ([`MAX_INDEXED_POINTS`], [`fits_u32_index`],
+//!   [`GridCapacityError`]),
+//! * the cell-size policy (`layout`): degenerate hints are sanitized and
+//!   the cell count (`cell_count`) is clamped to a linear budget
+//!   (`cell_budget`); [`crate::SpatialIndex`] reads the same two
+//!   functions to decide when a kd-tree beats the clamped grid,
+//! * the cache-blocked bucket scatter (`bucket_scatter`).
 
 use crate::bbox::Aabb;
 use crate::point::Point;
 
 /// Largest number of points a grid-backed index can hold: bucket items
 /// are stored as `u32` ids, so any build beyond this would silently
-/// truncate indices. [`UniformGrid::try_build`] (and the SoA variant)
-/// refuse larger inputs instead.
+/// truncate indices. [`crate::SoaGrid::try_build`] refuses larger inputs
+/// instead.
 pub const MAX_INDEXED_POINTS: usize = u32::MAX as usize;
 
 /// Returns `true` if `n` points fit a `u32`-id bucket index — the
-/// capacity predicate behind [`UniformGrid::try_build`]. Exposed so the
-/// boundary (`u32::MAX` fits, `u32::MAX + 1` does not) is unit-testable
-/// without allocating four billion points.
+/// capacity predicate behind [`crate::SoaGrid::try_build`]. Exposed so
+/// the boundary (`u32::MAX` fits, `u32::MAX + 1` does not) is
+/// unit-testable without allocating four billion points.
 #[inline]
 pub fn fits_u32_index(n: usize) -> bool {
     n <= MAX_INDEXED_POINTS
@@ -42,7 +49,84 @@ impl std::fmt::Display for GridCapacityError {
 
 impl std::error::Error for GridCapacityError {}
 
-/// Bucket scatter shared by [`UniformGrid`] and the SoA grid: given each
+/// Largest cell count a grid over `n` points may allocate: `8n + 1024`,
+/// capped below `u32::MAX` so cell ids fit `u32` at any point count.
+pub(crate) fn cell_budget(n: usize) -> f64 {
+    ((8 * n + 1024) as f64).min(4.0e9)
+}
+
+/// Number of cells a grid with cell size `cell` needs to cover the
+/// non-empty box `bbox`.
+pub(crate) fn cell_count(bbox: &Aabb, cell: f64) -> f64 {
+    ((bbox.width() / cell).floor() + 1.0) * ((bbox.height() / cell).floor() + 1.0)
+}
+
+/// Returns `true` if `cell` can be used as a cell size as given.
+#[inline]
+pub(crate) fn usable_cell(cell: f64) -> bool {
+    cell > 0.0 && cell.is_finite()
+}
+
+/// Shape of a grid: lower-left corner, cell size and `nx × ny` cells.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    pub origin: Point,
+    pub cell: f64,
+    pub nx: usize,
+    pub ny: usize,
+}
+
+/// Lays out a grid over `n` points spanning `bbox`, with `hint` as the
+/// requested cell size. The hint is honoured up to two adjustments:
+///
+/// * A non-positive or non-finite hint (zero-spread instances —
+///   all-coincident points, a single node — produce exactly these when
+///   callers derive the cell from pairwise distances) is replaced by the
+///   bounding-box diagonal, or `1.0` when that is also zero. The grid
+///   then degenerates to a handful of cells, which is the right shape
+///   for such inputs anyway.
+/// * If the hint would need more than [`cell_budget`] cells (think a
+///   nanometer cell over a kilometer span — exponential node chains do
+///   this), the cell is enlarged to keep memory linear in `n`.
+///
+/// Queries stay correct under both adjustments; only their constant
+/// factor changes.
+pub(crate) fn layout(bbox: &Aabb, n: usize, hint: f64) -> Layout {
+    if bbox.is_empty() {
+        let cell = if usable_cell(hint) { hint } else { 1.0 };
+        return Layout {
+            origin: Point::ORIGIN,
+            cell,
+            nx: 1,
+            ny: 1,
+        };
+    }
+    let mut cell = if usable_cell(hint) {
+        hint
+    } else {
+        let diag = Point::new(bbox.width(), bbox.height()).norm();
+        if usable_cell(diag) {
+            diag
+        } else {
+            1.0
+        }
+    };
+    let budget = cell_budget(n);
+    if cell_count(bbox, cell) > budget {
+        cell *= (cell_count(bbox, cell) / budget).sqrt().max(2.0);
+        while cell_count(bbox, cell) > budget {
+            cell *= 2.0;
+        }
+    }
+    Layout {
+        origin: bbox.min,
+        cell,
+        nx: (bbox.width() / cell).floor() as usize + 1,
+        ny: (bbox.height() / cell).floor() as usize + 1,
+    }
+}
+
+/// Bucket scatter of the grid build: given each
 /// point's cell id, produces the CSR `starts` array (length `ncells + 1`)
 /// and the bucket-major point permutation (`order[k]` = original point
 /// id), insertion-stable within every bucket.
@@ -112,303 +196,30 @@ const DIRECT_SCATTER_CELLS: usize = 1 << 15;
 /// Maximum number of coarse blocks in the row-blocked scatter.
 const COARSE_BLOCKS: usize = 1 << 12;
 
-/// A uniform bucket grid over a fixed set of points.
-///
-/// The grid stores point *indices* into the slice it was built from, so it
-/// composes with any external node numbering. Buckets are stored in a flat
-/// CSR-like layout (`starts` + `items`) to keep the index allocation-free
-/// at query time.
-///
-/// ```
-/// use rim_geom::{Point, UniformGrid};
-///
-/// let pts = vec![Point::new(0.0, 0.0), Point::new(0.5, 0.0), Point::new(2.0, 2.0)];
-/// let grid = UniformGrid::build(&pts, 0.5);
-/// assert_eq!(grid.query_disk(Point::new(0.1, 0.0), 0.5), vec![0, 1]);
-/// assert_eq!(grid.nearest(Point::new(1.8, 1.8), usize::MAX), Some(2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct UniformGrid {
-    origin: Point,
-    cell: f64,
-    nx: usize,
-    ny: usize,
-    starts: Vec<u32>,
-    items: Vec<u32>,
-    points: Vec<Point>,
-}
-
-impl UniformGrid {
-    /// Builds a grid over `points` with the given `cell` size.
-    ///
-    /// A good choice for `cell` is the dominant query radius; queries with
-    /// radius `r` touch `O((r/cell + 2)^2)` buckets. The requested cell
-    /// size is a *hint* in two ways:
-    ///
-    /// * A non-positive or non-finite `cell` (zero spread instances —
-    ///   all-coincident points, a single node — produce exactly these when
-    ///   callers derive the cell from pairwise distances) is replaced by
-    ///   the bounding-box diagonal, or `1.0` when that is also zero. The
-    ///   grid then degenerates to a handful of buckets, which is the right
-    ///   shape for such inputs anyway.
-    /// * If the hint would create more than `O(n)` buckets over the
-    ///   points' bounding box (think a nanometer cell over a kilometer
-    ///   span — exponential node chains do this), the cell is enlarged to
-    ///   keep memory linear in `n`.
-    ///
-    /// Queries stay correct under both adjustments, only their constant
-    /// factor changes.
-    ///
-    /// Panics if `points` exceeds [`MAX_INDEXED_POINTS`] (the `u32` item
-    /// capacity); use [`UniformGrid::try_build`] to handle that case as
-    /// an error instead.
-    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; instances this large cannot be addressed by any caller in the workspace
-    pub fn build(points: &[Point], cell: f64) -> Self {
-        match Self::try_build(points, cell) {
-            Ok(grid) => grid,
-            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_build
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`UniformGrid::build`]: returns a
-    /// [`GridCapacityError`] instead of panicking when `points` has more
-    /// entries than the `u32` bucket items can address.
-    pub fn try_build(points: &[Point], cell: f64) -> Result<Self, GridCapacityError> {
-        if !fits_u32_index(points.len()) {
-            return Err(GridCapacityError {
-                points: points.len(),
-            });
-        }
-        let bbox = Aabb::of_points(points);
-        let cell = if cell > 0.0 && cell.is_finite() {
-            cell
-        } else {
-            let diag = if bbox.is_empty() {
-                0.0
-            } else {
-                Point::new(bbox.width(), bbox.height()).norm()
-            };
-            if diag > 0.0 && diag.is_finite() {
-                diag
-            } else {
-                1.0
-            }
-        };
-        let (origin, nx, ny, cell) = if bbox.is_empty() {
-            (Point::ORIGIN, 1, 1, cell)
-        } else {
-            // Capped below u32::MAX cells so cell ids fit u32 even for
-            // point counts near the item-id capacity.
-            let budget = ((8 * points.len() + 1024) as f64).min(4.0e9);
-            let mut cell = cell;
-            let cells_for = |c: f64| {
-                ((bbox.width() / c).floor() + 1.0) * ((bbox.height() / c).floor() + 1.0)
-            };
-            if cells_for(cell) > budget {
-                cell *= (cells_for(cell) / budget).sqrt().max(2.0);
-                while cells_for(cell) > budget {
-                    cell *= 2.0;
-                }
-            }
-            let nx = (bbox.width() / cell).floor() as usize + 1;
-            let ny = (bbox.height() / cell).floor() as usize + 1;
-            (bbox.min, nx, ny, cell)
-        };
-
-        let ncells = nx * ny;
-        // Cell ids are computed once into a column (the second pass of
-        // the old build recomputed them point by point), then scattered
-        // with the shared cache-blocked bucket fill.
-        let cell_of = |p: &Point| -> u32 {
-            let cx = (((p.x - origin.x) / cell).floor() as usize).min(nx - 1);
-            let cy = (((p.y - origin.y) / cell).floor() as usize).min(ny - 1);
-            (cy * nx + cx) as u32
-        };
-        let cells: Vec<u32> = points.iter().map(cell_of).collect();
-        let (starts, items) = bucket_scatter(&cells, ncells);
-
-        Ok(UniformGrid {
-            origin,
-            cell,
-            nx,
-            ny,
-            starts,
-            items,
-            points: points.to_vec(),
-        })
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if the grid indexes no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The point with index `i` (as passed at build time).
-    #[inline]
-    pub fn point(&self, i: usize) -> Point {
-        self.points[i]
-    }
-
-    /// Calls `f(i)` for every point index `i` with `|points[i] - c| <= r`.
-    ///
-    /// The center `c` need not be an indexed point. Visit order is
-    /// deterministic (bucket-major, insertion order within buckets).
-    /// Membership uses the distance-level predicate `|p - c| <= r` (not
-    /// squared), so a radius copied from a [`Point::dist`] result keeps
-    /// the boundary point inside — the exactness policy of this crate.
-    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, f: F) {
-        self.for_each_in_disk_counting(c, r, f);
-    }
-
-    /// Like [`Self::for_each_in_disk`], additionally returning the number
-    /// of candidate points scanned (bucket occupants tested against the
-    /// distance predicate, whether or not they passed) — the
-    /// output-sensitivity signal the observability layer reports per
-    /// query.
-    // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries
-    pub fn for_each_in_disk_counting<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
-        debug_assert!(r >= 0.0);
-        let mut candidates = 0usize;
-        // One extra cell of margin on every side: `c.x + r` rounds to
-        // nearest and can land *below* the coordinate of a point at
-        // distance exactly `r` (e.g. 0.2 + 0.7 rounds down), which would
-        // silently drop a closed-disk boundary point from the scan. The
-        // rounding error is a few ulps — far below one cell — so a
-        // single-cell margin restores the superset guarantee; the exact
-        // distance predicate below still decides membership.
-        let x0 = ((c.x - r - self.origin.x) / self.cell).floor() - 1.0;
-        let x1 = ((c.x + r - self.origin.x) / self.cell).floor() + 1.0;
-        let y0 = ((c.y - r - self.origin.y) / self.cell).floor() - 1.0;
-        let y1 = ((c.y + r - self.origin.y) / self.cell).floor() + 1.0;
-        let cx0 = x0.max(0.0) as usize;
-        let cx1 = (x1.max(-1.0) as isize).min(self.nx as isize - 1);
-        let cy0 = y0.max(0.0) as usize;
-        let cy1 = (y1.max(-1.0) as isize).min(self.ny as isize - 1);
-        if cx1 < cx0 as isize || cy1 < cy0 as isize {
-            return candidates;
-        }
-        for cy in cy0..=(cy1 as usize) {
-            for cx in cx0..=(cx1 as usize) {
-                let cidx = cy * self.nx + cx;
-                let lo = self.starts[cidx] as usize;
-                let hi = self.starts[cidx + 1] as usize;
-                candidates += hi - lo;
-                for &i in &self.items[lo..hi] {
-                    if self.points[i as usize].dist(&c) <= r {
-                        f(i as usize);
-                    }
-                }
-            }
-        }
-        candidates
-    }
-
-    /// Occupancy of every non-empty bucket, in cell order — the cell
-    /// occupancy distribution the observability layer histograms at build
-    /// time.
-    pub fn nonempty_bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.starts
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .filter(|&occ| occ > 0)
-    }
-
-    /// Collects the indices of all points within distance `r` of `c`.
-    pub fn query_disk(&self, c: Point, r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_in_disk(c, r, |i| out.push(i));
-        out
-    }
-
-    /// Counts the points within distance `r` of `c`.
-    pub fn count_in_disk(&self, c: Point, r: f64) -> usize {
-        let mut n = 0;
-        self.for_each_in_disk(c, r, |_| n += 1);
-        n
-    }
-
-    /// Index of the nearest indexed point to `c` that is not `exclude`
-    /// (pass `usize::MAX` to exclude nothing). Returns `None` when no
-    /// eligible point exists. Ties break towards the smaller index.
-    pub fn nearest(&self, c: Point, exclude: usize) -> Option<usize> {
-        if self.points.is_empty() || (self.points.len() == 1 && exclude == 0) {
-            return None;
-        }
-        // Expanding ring search: try radii cell, 2*cell, 4*cell, ... until a
-        // hit is found, then verify with one final query at the found
-        // distance (a closer point could sit in a diagonal bucket).
-        let mut r = self.cell;
-        loop {
-            let mut best: Option<(f64, usize)> = None;
-            self.for_each_in_disk(c, r, |i| {
-                if i == exclude {
-                    return;
-                }
-                let d = self.points[i].dist_sq(&c);
-                match best {
-                    Some((bd, bi)) if (d, i) >= (bd, bi) => {}
-                    _ => best = Some((d, i)),
-                }
-            });
-            if let Some((d_sq, i)) = best {
-                let d = d_sq.sqrt();
-                if d <= r {
-                    // Confirm: search the exact radius d to catch diagonal
-                    // neighbors that the square-of-buckets already covers.
-                    let mut confirm = (d_sq, i);
-                    self.for_each_in_disk(c, d, |j| {
-                        if j == exclude {
-                            return;
-                        }
-                        let dj = self.points[j].dist_sq(&c);
-                        if (dj, j) < confirm {
-                            confirm = (dj, j);
-                        }
-                    });
-                    return Some(confirm.1);
-                }
-            }
-            r *= 2.0;
-            // Bail out once the ring covers the whole point set.
-            if r > 4.0 * self.span() + 4.0 * self.cell {
-                let mut best: Option<(f64, usize)> = None;
-                for (i, p) in self.points.iter().enumerate() {
-                    if i == exclude {
-                        continue;
-                    }
-                    let d = p.dist_sq(&c);
-                    if best.is_none_or(|(bd, bi)| (d, i) < (bd, bi)) {
-                        best = Some((d, i));
-                    }
-                }
-                return best.map(|(_, i)| i);
-            }
-        }
-    }
-
-    fn span(&self) -> f64 {
-        let w = self.nx as f64 * self.cell;
-        let h = self.ny as f64 * self.cell;
-        (w * w + h * h).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The grid's layout and closed-disk query semantics, pinned on
+    //! [`SoaGrid`] (the structure this layout serves).
+
     use super::*;
+    use crate::soa::SoaPoints;
+    use crate::soa_grid::SoaGrid;
+
+    fn grid(points: &[Point], cell: f64) -> SoaGrid {
+        SoaGrid::build(&SoaPoints::from_points(points), cell)
+    }
 
     fn brute_disk(points: &[Point], c: Point, r: f64) -> Vec<usize> {
         (0..points.len())
             .filter(|&i| points[i].dist(&c) <= r)
             .collect()
+    }
+
+    /// Nearest-neighbor distance of original point `i`, through the
+    /// grid's bucket-order search.
+    fn nearest_dist_of(grid: &SoaGrid, i: usize) -> Option<f64> {
+        let k = (0..grid.len()).find(|&k| grid.item(k) == i)?;
+        grid.nearest_dist_at(k)
     }
 
     #[test]
@@ -419,7 +230,7 @@ mod tests {
                 pts.push(Point::new(i as f64 * 0.1, j as f64 * 0.1));
             }
         }
-        let grid = UniformGrid::build(&pts, 0.25);
+        let grid = grid(&pts, 0.25);
         for &(cx, cy, r) in &[(0.5, 0.5, 0.3), (0.0, 0.0, 0.15), (0.95, 0.1, 0.5)] {
             let c = Point::new(cx, cy);
             let mut got = grid.query_disk(c, r);
@@ -430,52 +241,20 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        let grid = UniformGrid::build(&[], 1.0);
-        assert!(grid.is_empty());
-        assert_eq!(grid.query_disk(Point::ORIGIN, 10.0), Vec::<usize>::new());
-        assert_eq!(grid.nearest(Point::ORIGIN, usize::MAX), None);
+        let empty = grid(&[], 1.0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.query_disk(Point::ORIGIN, 10.0), Vec::<usize>::new());
 
-        let grid = UniformGrid::build(&[Point::new(3.0, 4.0)], 1.0);
-        assert_eq!(grid.query_disk(Point::ORIGIN, 5.0), vec![0]);
-        assert_eq!(grid.query_disk(Point::ORIGIN, 4.9), Vec::<usize>::new());
-        assert_eq!(grid.nearest(Point::ORIGIN, usize::MAX), Some(0));
-        assert_eq!(grid.nearest(Point::ORIGIN, 0), None);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        // Deterministic pseudo-random points via a simple LCG.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut rnd = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let pts: Vec<Point> = (0..200).map(|_| Point::new(rnd(), rnd())).collect();
-        let grid = UniformGrid::build(&pts, 0.05);
-        for q in 0..pts.len() {
-            let got = grid.nearest(pts[q], q).unwrap();
-            let want = (0..pts.len())
-                .filter(|&i| i != q)
-                .min_by(|&a, &b| {
-                    pts[a]
-                        .dist_sq(&pts[q])
-                        .total_cmp(&pts[b].dist_sq(&pts[q]))
-                        .then(a.cmp(&b))
-                })
-                .unwrap();
-            assert_eq!(
-                pts[got].dist_sq(&pts[q]),
-                pts[want].dist_sq(&pts[q]),
-                "q={q} got={got} want={want}"
-            );
-        }
+        let one = grid(&[Point::new(3.0, 4.0)], 1.0);
+        assert_eq!(one.query_disk(Point::ORIGIN, 5.0), vec![0]);
+        assert_eq!(one.query_disk(Point::ORIGIN, 4.9), Vec::<usize>::new());
     }
 
     #[test]
     fn boundary_points_are_included() {
         // A point exactly at distance r must be reported (closed disk).
         let pts = [Point::ORIGIN, Point::new(1.0, 0.0)];
-        let grid = UniformGrid::build(&pts, 0.3);
+        let grid = grid(&pts, 0.3);
         assert_eq!(grid.query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
     }
 
@@ -486,11 +265,11 @@ mod tests {
         let pts: Vec<Point> = (0..32)
             .map(|i| Point::on_line((2f64.powi(i) - 1.0) / 2f64.powi(32)))
             .collect();
-        let grid = UniformGrid::build(&pts, 2f64.powi(-32));
+        let grid = grid(&pts, 2f64.powi(-32));
         let mut got = grid.query_disk(Point::on_line(0.0), 0.5);
         got.sort_unstable();
         assert_eq!(got, brute_disk(&pts, Point::on_line(0.0), 0.5));
-        assert_eq!(grid.nearest(pts[5], 5), Some(4));
+        assert_eq!(nearest_dist_of(&grid, 5), Some(pts[5].dist(&pts[4])));
     }
 
     #[test]
@@ -501,11 +280,11 @@ mod tests {
         // working grid rather than panic.
         let pts = [Point::new(1.0, 2.0), Point::new(4.0, 6.0)];
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let grid = UniformGrid::build(&pts, bad);
+            let grid = grid(&pts, bad);
             let mut got = grid.query_disk(Point::new(1.0, 2.0), 5.0);
             got.sort_unstable();
             assert_eq!(got, vec![0, 1], "cell={bad}");
-            assert_eq!(grid.nearest(Point::new(4.0, 6.0), 1), Some(0));
+            assert_eq!(nearest_dist_of(&grid, 1), Some(5.0), "cell={bad}");
         }
     }
 
@@ -515,7 +294,7 @@ mod tests {
         // (including a degenerate one) must collapse to one bucket.
         let pts = vec![Point::new(2.5, -1.5); 9];
         for cell in [0.0, 1.0, f64::NAN] {
-            let grid = UniformGrid::build(&pts, cell);
+            let grid = grid(&pts, cell);
             assert_eq!(grid.len(), 9);
             assert_eq!(
                 grid.query_disk(Point::new(2.5, -1.5), 0.0),
@@ -531,9 +310,9 @@ mod tests {
     fn single_node() {
         let pts = [Point::new(7.0, 7.0)];
         for cell in [0.0, 0.5, f64::INFINITY] {
-            let grid = UniformGrid::build(&pts, cell);
+            let grid = grid(&pts, cell);
             assert_eq!(grid.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
-            assert_eq!(grid.nearest(Point::new(7.0, 7.0), 0), None);
+            assert_eq!(grid.nearest_dist_at(0), None);
         }
     }
 
@@ -550,7 +329,7 @@ mod tests {
             Point::on_line(0.9),
         ];
         let r = pts[1].dist(&pts[3]);
-        let grid = UniformGrid::build(&pts, 0.45);
+        let grid = grid(&pts, 0.45);
         assert_eq!(grid.query_disk(pts[1], r), vec![0, 1, 2, 3]);
     }
 
@@ -564,7 +343,7 @@ mod tests {
         let b = Point::new(0.7, 0.9);
         let r = a.dist(&b); // irrational; only bit-identical compare passes
         let pts = [a, b];
-        let grid = UniformGrid::build(&pts, r / 3.0);
+        let grid = grid(&pts, r / 3.0);
         assert_eq!(grid.query_disk(a, r), vec![0, 1]);
         // The open side: anything strictly below the distance excludes b.
         let below = f64::from_bits(r.to_bits() - 1);
@@ -574,7 +353,7 @@ mod tests {
     #[test]
     fn collinear_highway_points() {
         let pts: Vec<Point> = (0..50).map(|i| Point::on_line(i as f64 * 0.02)).collect();
-        let grid = UniformGrid::build(&pts, 0.1);
+        let grid = grid(&pts, 0.1);
         let mut got = grid.query_disk(Point::on_line(0.5), 0.1);
         got.sort_unstable();
         assert_eq!(got, brute_disk(&pts, Point::on_line(0.5), 0.1));
@@ -593,7 +372,7 @@ mod tests {
         };
         assert!(err.to_string().contains("4294967295"), "{err}");
         // In-capacity builds succeed through the fallible path.
-        let grid = UniformGrid::try_build(&[Point::ORIGIN], 1.0).unwrap();
+        let grid = SoaGrid::try_build(&SoaPoints::from_points(&[Point::ORIGIN]), 1.0).unwrap();
         assert_eq!(grid.len(), 1);
     }
 
@@ -628,12 +407,14 @@ mod tests {
         let pts: Vec<Point> = (0..100)
             .map(|i| Point::new((i % 10) as f64 * 0.1, (i / 10) as f64 * 0.1))
             .collect();
-        let grid = UniformGrid::build(&pts, 0.2);
+        let grid = grid(&pts, 0.2);
         let mut hits = 0usize;
-        let candidates = grid.for_each_in_disk_counting(Point::new(0.5, 0.5), 0.25, |_| hits += 1);
+        let candidates = grid.for_each_in_disk(Point::new(0.5, 0.5), 0.25, |_| hits += 1);
         assert!(hits > 0);
         assert!(candidates >= hits, "candidates={candidates} hits={hits}");
         assert!(candidates <= pts.len());
+        // The position visitor scans the same candidates.
+        assert_eq!(grid.for_each_pos_in_disk(Point::new(0.5, 0.5), 0.25, |_| {}), candidates);
         // Bucket occupancies partition the point set.
         assert_eq!(grid.nonempty_bucket_sizes().sum::<usize>(), pts.len());
         assert!(grid.nonempty_bucket_sizes().all(|occ| occ > 0));

@@ -1,12 +1,14 @@
-//! Adaptive spatial index: a uniform grid with a kd-tree fallback.
+//! Adaptive spatial index: the static grid with a kd-tree fallback.
 //!
-//! The interference engine scatters one disk query per transmitter. On
-//! uniformly dense instances the [`UniformGrid`] wins by a wide constant
-//! factor, but degenerate aspect ratios — the exponential node chain packs
-//! half its points into a sliver 2^-n of the span wide — defeat any single
-//! cell size: the grid's memory budget inflates the cell until most of the
-//! point set lands in one bucket and queries degrade to linear scans. The
-//! [`KdTree`] has no cell size to tune and stays logarithmic there.
+//! Every disk query outside the streaming kernel goes through
+//! [`SpatialIndex`]. On uniformly dense instances the [`SoaGrid`] wins
+//! by a wide constant factor, but degenerate spreads defeat any single
+//! cell size: the exponential node chain packs half its points into a
+//! sliver 2^-n of the span wide, and one far outlier stretches the
+//! bounding box of an otherwise uniform set. The grid's memory budget
+//! then inflates the cell until most of the point set lands in one
+//! bucket and queries degrade to linear scans. The [`KdTree`] has no
+//! cell size to tune and stays logarithmic there.
 //!
 //! [`SpatialIndex::build`] picks the structure from the data: it measures
 //! how badly the grid's budget clamp would distort the requested cell and
@@ -16,10 +18,11 @@
 //! floating-point policy), so the choice never changes results — only
 //! speed.
 
-use crate::bbox::Aabb;
-use crate::grid::UniformGrid;
+use crate::grid::{cell_budget, cell_count, usable_cell};
 use crate::kdtree::KdTree;
 use crate::point::Point;
+use crate::soa::SoaPoints;
+use crate::soa_grid::SoaGrid;
 
 /// How many times over the grid's cell budget the requested cell may go
 /// before the build switches to a kd-tree. At 64x the clamp would enlarge
@@ -27,14 +30,27 @@ use crate::point::Point;
 /// bucket — the point where bucket scans stop being output-sensitive.
 const GRID_DISTORTION_LIMIT: f64 = 64.0;
 
+/// Median of `values` by [`f64::total_cmp`] (the upper median for an
+/// even count), or `1.0` when `values` is empty — the cell hint every
+/// index builder derives from its query radii. Callers filter the values
+/// first (positive radii, all edge lengths, ...); an empty set means
+/// nothing will be queried, so any grid shape works.
+pub fn median_hint(mut values: Vec<f64>) -> f64 {
+    if values.is_empty() {
+        return 1.0;
+    }
+    let mid = values.len() / 2;
+    *values.select_nth_unstable_by(mid, f64::total_cmp).1
+}
+
 /// A spatial index over a fixed set of points, backed by either a
-/// [`UniformGrid`] or a [`KdTree`] — chosen at build time from the spread
+/// [`SoaGrid`] or a [`KdTree`] — chosen at build time from the spread
 /// of the data. Point indices are preserved, and disk queries use the
 /// closed distance-level predicate of both backends.
 #[derive(Debug, Clone)]
 pub enum SpatialIndex {
-    /// Uniform bucket grid (dense, well-conditioned instances).
-    Grid(UniformGrid),
+    /// Bucket grid (dense, well-conditioned instances).
+    Grid(SoaGrid),
     /// Balanced kd-tree (degenerate spreads, e.g. exponential chains).
     Kd(KdTree),
 }
@@ -47,21 +63,20 @@ impl SpatialIndex {
     /// spread-out instance with tiny typical radii, where a clamped grid
     /// would scan most points per query anyway.
     ///
-    /// Degenerate hints (non-positive, non-finite) are fine; they are
-    /// sanitized exactly as [`UniformGrid::build`] does.
+    /// Degenerate hints (non-positive, non-finite) are fine; the grid
+    /// sanitizes them (see [`SoaGrid::build`]).
     pub fn build(points: &[Point], cell_hint: f64) -> Self {
-        let bbox = Aabb::of_points(points);
-        if !bbox.is_empty() && cell_hint > 0.0 && cell_hint.is_finite() {
-            let cells =
-                ((bbox.width() / cell_hint).floor() + 1.0) * ((bbox.height() / cell_hint).floor() + 1.0);
-            let budget = (8 * points.len() + 1024) as f64;
-            if cells > budget * GRID_DISTORTION_LIMIT {
-                rim_obs::counter_add("geom.index.kd_builds", 1);
-                return SpatialIndex::Kd(KdTree::build(points));
-            }
+        let soa = SoaPoints::from_points(points);
+        let bbox = soa.bbox();
+        if !bbox.is_empty()
+            && usable_cell(cell_hint)
+            && cell_count(&bbox, cell_hint) > cell_budget(points.len()) * GRID_DISTORTION_LIMIT
+        {
+            rim_obs::counter_add("geom.index.kd_builds", 1);
+            return SpatialIndex::Kd(KdTree::build(points));
         }
         rim_obs::counter_add("geom.index.grid_builds", 1);
-        let grid = UniformGrid::build(points, cell_hint);
+        let grid = SoaGrid::build(&soa, cell_hint);
         if rim_obs::active() {
             for occ in grid.nonempty_bucket_sizes() {
                 rim_obs::record("geom.grid.cell_occupancy", occ as u64);
@@ -100,7 +115,7 @@ impl SpatialIndex {
             let mut hits = 0u64;
             match self {
                 SpatialIndex::Grid(g) => {
-                    let candidates = g.for_each_in_disk_counting(c, r, |i| {
+                    let candidates = g.for_each_in_disk(c, r, |i| {
                         hits += 1;
                         f(i);
                     });
@@ -115,7 +130,9 @@ impl SpatialIndex {
             return;
         }
         match self {
-            SpatialIndex::Grid(g) => g.for_each_in_disk(c, r, f),
+            SpatialIndex::Grid(g) => {
+                g.for_each_in_disk(c, r, f);
+            }
             SpatialIndex::Kd(t) => t.for_each_in_disk(c, r, f),
         }
     }
@@ -199,12 +216,57 @@ mod tests {
         let b = Point::new(1.1, 2.2);
         let r = a.dist(&b);
         let pts = [a, b];
-        let grid = SpatialIndex::Grid(UniformGrid::build(&pts, r));
+        let grid = SpatialIndex::Grid(SoaGrid::build(&SoaPoints::from_points(&pts), r));
         let kd = SpatialIndex::Kd(KdTree::build(&pts));
         for idx in [&grid, &kd] {
             assert_eq!(idx.query_disk(a, r), vec![0, 1]);
             let below = f64::from_bits(r.to_bits() - 1);
             assert_eq!(idx.query_disk(a, below), vec![0]);
         }
+    }
+
+    #[test]
+    fn uniform_plus_outlier_picks_the_kdtree() {
+        // A uniform set at unit density plus one node at (10⁶, 10⁶): the
+        // outlier stretches the bounding box so far that a grid at the
+        // query radius would need ~10¹² cells, and the budget-clamped
+        // grid would put the whole uniform set into a few buckets. The
+        // kd-tree answers the same closed-disk queries.
+        let mut state = 0x243f6a8885a308d3u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let side = 40.0;
+        let mut pts: Vec<Point> = (0..1600)
+            .map(|_| Point::new(next() * side, next() * side))
+            .collect();
+        pts.push(Point::new(1.0e6, 1.0e6));
+        let idx = SpatialIndex::build(&pts, 1.0);
+        assert!(matches!(idx, SpatialIndex::Kd(_)));
+        assert_eq!(idx.len(), pts.len());
+        for q in [0usize, 7, 800, 1599, 1600] {
+            for r in [0.0, 0.5, 1.0, 3.0, 100.0, 2.0e6] {
+                assert_eq!(
+                    idx.query_disk(pts[q], r),
+                    brute_disk(&pts, pts[q], r),
+                    "q={q} r={r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn median_hint_is_the_total_order_median() {
+        assert_eq!(median_hint(Vec::new()), 1.0);
+        assert_eq!(median_hint(vec![3.0]), 3.0);
+        assert_eq!(median_hint(vec![5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
+        // Even counts take the upper median, as `sorted[len / 2]` does.
+        assert_eq!(median_hint(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        // Agrees with the full sort on an unsorted set with duplicates.
+        let values = vec![0.7, 0.1, 0.7, 2.5, 0.3, 0.3, 1.9, 0.0];
+        let mut sorted = values.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        assert_eq!(median_hint(values), sorted[sorted.len() / 2]);
     }
 }

@@ -1,10 +1,11 @@
-//! A static 2-d tree for nearest-neighbor and range queries.
+//! A static 2-d tree for closed-disk range queries.
 //!
-//! The [`crate::grid::UniformGrid`] is faster for uniformly dense
-//! instances, but degenerate constructions such as the exponential node
-//! chain have point densities varying over many orders of magnitude; a
-//! kd-tree answers nearest-neighbor queries on those in `O(log n)` without
-//! tuning a cell size.
+//! The [`crate::SoaGrid`] is faster for uniformly dense instances, but
+//! degenerate spreads — the exponential node chain, whose point density
+//! varies over many orders of magnitude, or a uniform set with one far
+//! outlier — defeat any single cell size. The kd-tree answers disk
+//! queries on those without tuning a cell size; [`crate::SpatialIndex`]
+//! falls back to it.
 
 use crate::point::Point;
 
@@ -83,46 +84,6 @@ impl KdTree {
         self.points.is_empty()
     }
 
-    /// Index of the nearest indexed point to `q`, skipping `exclude`
-    /// (pass `usize::MAX` to exclude nothing). Ties break towards the
-    /// smaller index. Returns `None` if no eligible point exists.
-    pub fn nearest(&self, q: Point, exclude: usize) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut best: Option<(f64, usize)> = None;
-        self.nearest_rec(0, q, exclude, &mut best);
-        best.map(|(_, i)| i)
-    }
-
-    fn nearest_rec(&self, at: usize, q: Point, exclude: usize, best: &mut Option<(f64, usize)>) {
-        if at >= self.nodes.len() || self.nodes[at].idx == u32::MAX {
-            return;
-        }
-        let node = self.nodes[at];
-        let p = self.points[node.idx as usize];
-        let d = p.dist_sq(&q);
-        let i = node.idx as usize;
-        if i != exclude {
-            match *best {
-                Some((bd, bi)) if (d, i) >= (bd, bi) => {}
-                _ => *best = Some((d, i)),
-            }
-        }
-        let delta = if node.axis == 0 { q.x - p.x } else { q.y - p.y };
-        let (near, far) = if delta <= 0.0 {
-            (2 * at + 1, 2 * at + 2)
-        } else {
-            (2 * at + 2, 2 * at + 1)
-        };
-        self.nearest_rec(near, q, exclude, best);
-        // Visit the far side only if the splitting plane is closer than the
-        // current best (<= keeps boundary ties deterministic).
-        if best.is_none_or(|(bd, _)| delta * delta <= bd) {
-            self.nearest_rec(far, q, exclude, best);
-        }
-    }
-
     /// Calls `f(i)` for every point index `i` with `|points[i] - q| <= r`
     /// (distance-level predicate — see the crate's exactness policy).
     pub fn for_each_in_disk<F: FnMut(usize)>(&self, q: Point, r: f64, mut f: F) {
@@ -188,21 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_brute_force() {
-        let pts = pseudo_points(257, 42);
-        let tree = KdTree::build(&pts);
-        for q in 0..pts.len() {
-            let got = tree.nearest(pts[q], q).unwrap();
-            let want_d = (0..pts.len())
-                .filter(|&i| i != q)
-                .map(|i| pts[i].dist_sq(&pts[q]))
-                .min_by(f64::total_cmp)
-                .unwrap();
-            assert_eq!(pts[got].dist_sq(&pts[q]), want_d, "q={q}");
-        }
-    }
-
-    #[test]
     fn range_matches_brute_force() {
         let pts = pseudo_points(100, 7);
         let tree = KdTree::build(&pts);
@@ -218,30 +164,29 @@ mod tests {
 
     #[test]
     fn exponential_chain_densities() {
-        // Nearest-neighbor must be correct when spacing varies by 2^30.
+        // Range queries must be exact when spacing varies by 2^30: the
+        // closed disk around v_i reaching exactly v_{i-1} holds those two
+        // and nothing else (the gap to v_{i+1} is twice as wide, and
+        // v_{i-2} lies beyond v_{i-1}).
         let pts: Vec<Point> = (0..31)
             .map(|i| Point::on_line((2f64.powi(i) - 1.0) / 2f64.powi(31)))
             .collect();
         let tree = KdTree::build(&pts);
         for q in 1..pts.len() - 1 {
-            // In an exponential chain the nearest neighbor of v_i is v_{i-1}.
-            assert_eq!(tree.nearest(pts[q], q), Some(q - 1), "q={q}");
+            let r = pts[q].dist(&pts[q - 1]);
+            assert_eq!(tree.query_disk(pts[q], r), vec![q - 1, q], "q={q}");
         }
-        assert_eq!(tree.nearest(pts[0], 0), Some(1));
     }
 
     #[test]
     fn empty_and_duplicates() {
         let tree = KdTree::build(&[]);
         assert!(tree.is_empty());
-        assert_eq!(tree.nearest(Point::ORIGIN, usize::MAX), None);
+        assert!(tree.query_disk(Point::ORIGIN, 1.0).is_empty());
 
         let pts = [Point::ORIGIN, Point::ORIGIN, Point::new(1.0, 0.0)];
         let tree = KdTree::build(&pts);
-        // Duplicate points: nearest neighbor of point 0 (excluding itself)
-        // is its duplicate at distance 0.
-        let n = tree.nearest(pts[0], 0).unwrap();
-        assert_eq!(pts[n].dist_sq(&pts[0]), 0.0);
+        // Duplicate points are both reported at radius zero.
         assert_eq!(tree.query_disk(Point::ORIGIN, 0.0), vec![0, 1]);
     }
 

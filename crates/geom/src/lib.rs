@@ -9,12 +9,13 @@
 //!   helpers that prefer squared distances in hot paths,
 //! * [`Disk`] — a closed disk `D(c, r)` with containment predicates,
 //! * [`Aabb`] — axis-aligned bounding boxes,
-//! * [`UniformGrid`] — a bucket grid spatial index for range queries,
 //! * [`SoaPoints`] / [`SoaGrid`] — structure-of-arrays point storage and
-//!   a bucket grid with bucket-major coordinate columns, the layout the
-//!   million-node streaming kernels scan,
-//! * [`KdTree`] — a static 2-d tree for nearest-neighbor queries,
-//! * [`SpatialIndex`] — grid/kd-tree dispatch chosen from the data,
+//!   the one static bucket grid, with bucket-major coordinate columns;
+//!   every closed-disk query in the workspace scans it,
+//! * [`KdTree`] — a static 2-d tree for range queries on degenerate
+//!   spreads,
+//! * [`SpatialIndex`] — grid/kd-tree dispatch chosen from the data, and
+//!   [`median_hint`], the cell hint its callers derive from query radii,
 //! * [`closest_pair`] — divide-and-conquer closest pair,
 //! * [`convex_hull`] — Andrew's monotone chain.
 //!
@@ -53,9 +54,9 @@ pub use bbox::Aabb;
 pub use closest_pair::{closest_pair, closest_pair_brute_force};
 pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
-pub use grid::{fits_u32_index, GridCapacityError, UniformGrid, MAX_INDEXED_POINTS};
+pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS};
 pub use hull::convex_hull;
-pub use index::SpatialIndex;
+pub use index::{median_hint, SpatialIndex};
 pub use kdtree::KdTree;
 pub use point::Point;
 pub use soa::SoaPoints;

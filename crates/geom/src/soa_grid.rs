@@ -1,21 +1,20 @@
-//! Structure-of-arrays bucket grid — the million-node spatial index.
+//! Structure-of-arrays bucket grid — the workspace's static spatial grid.
 //!
-//! [`crate::UniformGrid`] answers a disk query by walking bucket item
-//! ids and dereferencing each one into a `Vec<Point>`: one indirection
-//! (and usually one cache miss) per candidate. At 10^6–10^7 points that
-//! indirection *is* the kernel's running time. [`SoaGrid`] removes it:
-//! at build time the coordinate columns of a [`SoaPoints`] are permuted
-//! into bucket-major order, so a bucket scan reads `sxs[lo..hi]` /
+//! Every closed-disk query of the model — interference coverage, UDG
+//! construction, Gabriel/RNG witnesses, the sender measure, the dynamic
+//! engine's patches and the million-node streaming kernel — runs on
+//! [`SoaGrid`], directly or through [`crate::SpatialIndex`]. At build
+//! time the coordinate columns of a [`SoaPoints`] are permuted into
+//! bucket-major order, so a bucket scan reads `sxs[lo..hi]` /
 //! `sys[lo..hi]` sequentially and only touches the id column for actual
-//! hits. The build itself uses the same cache-blocked bucket fill as
-//! [`crate::UniformGrid`] ([`crate::grid::bucket_scatter`]).
+//! hits: no per-candidate indirection into a point array. The cell size
+//! policy and the cache-blocked bucket fill live in [`crate::grid`].
 //!
-//! Query semantics are identical to the other indexes — the *closed*
-//! distance-level predicate `dist(p, c) <= r` (see the crate-level
-//! floating-point policy) — so results are bit-compatible with
-//! [`crate::SpatialIndex`] and the naive scans.
+//! Queries use the *closed* distance-level predicate `dist(p, c) <= r`
+//! (see the crate-level floating-point policy), so results are
+//! bit-compatible with the kd-tree and the naive scans.
 
-use crate::grid::{bucket_scatter, fits_u32_index, GridCapacityError};
+use crate::grid::{bucket_scatter, fits_u32_index, layout, GridCapacityError, Layout};
 use crate::point::Point;
 use crate::soa::SoaPoints;
 
@@ -52,10 +51,13 @@ pub struct SoaGrid {
 }
 
 impl SoaGrid {
-    /// Builds a grid over `points` with the given `cell` size hint. The
-    /// hint is sanitized and budget-clamped exactly as in
-    /// [`crate::UniformGrid::build`]: degenerate hints fall back to the
-    /// bounding-box diagonal, and cell counts stay `O(n)`.
+    /// Builds a grid over `points` with the given `cell` size hint.
+    ///
+    /// A good choice for `cell` is the dominant query radius; queries with
+    /// radius `r` touch `O((r/cell + 2)^2)` buckets. The hint is
+    /// sanitized and budget-clamped by the grid layout policy:
+    /// degenerate hints fall back to the bounding-box diagonal, and cell
+    /// counts stay `O(n)`.
     ///
     /// Panics if the store exceeds the `u32` item capacity; use
     /// [`SoaGrid::try_build`] to handle that case as an error.
@@ -76,41 +78,12 @@ impl SoaGrid {
             return Err(GridCapacityError { points: n });
         }
         rim_obs::counter_add("geom.index.soa_builds", 1);
-        let bbox = points.bbox();
-        let cell = if cell > 0.0 && cell.is_finite() {
-            cell
-        } else {
-            let diag = if bbox.is_empty() {
-                0.0
-            } else {
-                Point::new(bbox.width(), bbox.height()).norm()
-            };
-            if diag > 0.0 && diag.is_finite() {
-                diag
-            } else {
-                1.0
-            }
-        };
-        let (origin, nx, ny, cell) = if bbox.is_empty() {
-            (Point::ORIGIN, 1, 1, cell)
-        } else {
-            // Same linear-memory budget as UniformGrid, capped below
-            // u32::MAX cells so cell ids fit u32 at any point count.
-            let budget = ((8 * n + 1024) as f64).min(4.0e9);
-            let mut cell = cell;
-            let cells_for = |c: f64| {
-                ((bbox.width() / c).floor() + 1.0) * ((bbox.height() / c).floor() + 1.0)
-            };
-            if cells_for(cell) > budget {
-                cell *= (cells_for(cell) / budget).sqrt().max(2.0);
-                while cells_for(cell) > budget {
-                    cell *= 2.0;
-                }
-            }
-            let nx = (bbox.width() / cell).floor() as usize + 1;
-            let ny = (bbox.height() / cell).floor() as usize + 1;
-            (bbox.min, nx, ny, cell)
-        };
+        let Layout {
+            origin,
+            cell,
+            nx,
+            ny,
+        } = layout(&points.bbox(), n, cell);
 
         let ncells = nx * ny;
         let xs = points.xs();
@@ -169,16 +142,26 @@ impl SoaGrid {
     }
 
     /// Calls `f(k)` with the *bucket-order position* of every point with
-    /// `dist(points[k], c) <= r`. Positions index [`SoaGrid::item`] /
-    /// [`SoaGrid::point_at`]; kernels that iterate the whole store in
-    /// bucket order use this variant so neighbor coordinates never go
-    /// through the id indirection.
+    /// `dist(points[k], c) <= r`, and returns the number of candidates
+    /// scanned (bucket occupants tested against the distance predicate,
+    /// whether or not they passed) — the output-sensitivity signal the
+    /// observability layer reports per query. Positions index
+    /// [`SoaGrid::item`] / [`SoaGrid::point_at`]; kernels that iterate
+    /// the whole store in bucket order use this variant so neighbor
+    /// coordinates never go through the id indirection.
+    // Inlined so that callers ignoring the candidate count (the streaming
+    // kernel) compile the counter away.
+    #[inline]
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries and bounds the column slices
-    pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) {
+    pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
         debug_assert!(r >= 0.0);
-        // One extra cell of margin on every side, mirroring UniformGrid:
-        // `c.x + r` can round below the coordinate of a point at distance
-        // exactly `r`, and the closed predicate must still see it.
+        // One extra cell of margin on every side: `c.x + r` rounds to
+        // nearest and can land *below* the coordinate of a point at
+        // distance exactly `r` (e.g. 0.2 + 0.7 rounds down), which would
+        // silently drop a closed-disk boundary point from the scan. The
+        // rounding error is a few ulps — far below one cell — so a
+        // single-cell margin restores the superset guarantee; the exact
+        // distance predicate below still decides membership.
         let x0 = ((c.x - r - self.origin.x) / self.cell).floor() - 1.0;
         let x1 = ((c.x + r - self.origin.x) / self.cell).floor() + 1.0;
         let y0 = ((c.y - r - self.origin.y) / self.cell).floor() - 1.0;
@@ -188,14 +171,16 @@ impl SoaGrid {
         let cy0 = y0.max(0.0) as usize;
         let cy1 = (y1.max(-1.0) as isize).min(self.ny as isize - 1);
         if cx1 < cx0 as isize || cy1 < cy0 as isize {
-            return;
+            return 0;
         }
+        let mut candidates = 0;
         for cy in cy0..=(cy1 as usize) {
             // Contiguous run of cells within the row: one slice scan per
             // row instead of one per cell keeps the loop tight.
             let row = cy * self.nx;
             let lo = self.starts[row + cx0] as usize;
             let hi = self.starts[row + cx1 as usize + 1] as usize;
+            candidates += hi - lo;
             for k in lo..hi {
                 // Same formula as Point::dist — sqrt of dx² + dy², then a
                 // distance-level closed comparison — so hits agree with
@@ -206,15 +191,28 @@ impl SoaGrid {
                 }
             }
         }
+        candidates
     }
 
     /// Calls `f(i)` for every *original point index* `i` with
     /// `dist(points[i], c) <= r` (closed disk, distance level — the
-    /// workspace's exactness policy). Visit order is deterministic:
-    /// bucket-major, insertion order within buckets, exactly as
-    /// [`crate::UniformGrid::for_each_in_disk`].
-    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) {
-        self.for_each_pos_in_disk(c, r, |k| f(self.items[k] as usize));
+    /// workspace's exactness policy), and returns the number of
+    /// candidates scanned, as [`SoaGrid::for_each_pos_in_disk`]. Visit
+    /// order is deterministic: bucket-major, insertion order within
+    /// buckets.
+    #[inline]
+    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
+        self.for_each_pos_in_disk(c, r, |k| f(self.items[k] as usize))
+    }
+
+    /// Occupancy of every non-empty bucket, in cell order — the cell
+    /// occupancy distribution the observability layer histograms at build
+    /// time.
+    pub fn nonempty_bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .filter(|&occ| occ > 0)
     }
 
     /// Collects the indices of all points within distance `r` of `c`, in
@@ -362,7 +360,6 @@ fn cell_coord(v: f64, origin: f64, cell: f64, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::UniformGrid;
     use crate::MAX_INDEXED_POINTS;
 
     fn lcg_points(n: usize, side: f64) -> Vec<Point> {
@@ -376,17 +373,15 @@ mod tests {
 
     #[test]
     fn matches_uniform_grid_queries() {
+        // Disk queries on a uniform random set equal the brute-force scan,
+        // in ascending id order once sorted.
         let pts = lcg_points(600, 10.0);
-        let soa = SoaPoints::from_points(&pts);
-        let grid = SoaGrid::build(&soa, 0.7);
-        let reference = UniformGrid::build(&pts, 0.7);
+        let grid = SoaGrid::build(&SoaPoints::from_points(&pts), 0.7);
         for (qi, q) in pts.iter().enumerate().step_by(17) {
             for r in [0.0, 0.35, 0.7, 1.4, 3.0] {
                 let mut got = grid.query_disk(*q, r);
-                let mut want: Vec<usize> = Vec::new();
-                reference.for_each_in_disk(*q, r, |j| want.push(j));
                 got.sort_unstable();
-                want.sort_unstable();
+                let want: Vec<usize> = (0..pts.len()).filter(|&j| pts[j].dist(q) <= r).collect();
                 assert_eq!(got, want, "query {qi} r={r}");
             }
         }

@@ -2,7 +2,9 @@
 //! their brute-force counterparts on arbitrary inputs (seeded in-repo
 //! harness, `rim_rng::prop`).
 
-use rim_geom::{closest_pair, closest_pair_brute_force, convex_hull, KdTree, Point, UniformGrid};
+use rim_geom::{
+    closest_pair, closest_pair_brute_force, convex_hull, KdTree, Point, SoaGrid, SoaPoints,
+};
 use rim_rng::prop::check_default;
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 
@@ -34,7 +36,7 @@ fn grid_disk_query_matches_brute_force() {
             )
         },
         |(pts, q, r, cell)| {
-            let grid = UniformGrid::build(pts, *cell);
+            let grid = SoaGrid::build(&SoaPoints::from_points(pts), *cell);
             let mut got = grid.query_disk(*q, *r);
             got.sort_unstable();
             prop_ensure_eq!(got, brute_disk(pts, *q, *r));
@@ -52,56 +54,6 @@ fn kdtree_disk_query_matches_brute_force() {
             let tree = KdTree::build(pts);
             prop_ensure_eq!(tree.query_disk(*q, *r), brute_disk(pts, *q, *r));
             Ok(())
-        },
-    );
-}
-
-#[test]
-fn kdtree_nearest_matches_brute_force() {
-    check_default(
-        "kdtree_nearest_matches_brute_force",
-        |rng| (arb_points(rng, 60), arb_point(rng)),
-        |(pts, q)| {
-            let tree = KdTree::build(pts);
-            let got = tree.nearest(*q, usize::MAX);
-            let want = (0..pts.len()).map(|i| pts[i].dist_sq(q)).min_by(f64::total_cmp);
-            match (got, want) {
-                (None, None) => Ok(()),
-                (Some(i), Some(d)) => {
-                    prop_ensure!(
-                        pts[i].dist_sq(q).total_cmp(&d).is_eq(),
-                        "kd nearest at {} not minimal",
-                        i
-                    );
-                    Ok(())
-                }
-                _ => Err("one of fast/brute found a point, the other did not".into()),
-            }
-        },
-    );
-}
-
-#[test]
-fn grid_nearest_matches_brute_force() {
-    check_default(
-        "grid_nearest_matches_brute_force",
-        |rng| (arb_points(rng, 40), arb_point(rng), rng.gen_range(0.05f64..3.0)),
-        |(pts, q, cell)| {
-            let grid = UniformGrid::build(pts, *cell);
-            let got = grid.nearest(*q, usize::MAX);
-            let want = (0..pts.len()).map(|i| pts[i].dist_sq(q)).min_by(f64::total_cmp);
-            match (got, want) {
-                (None, None) => Ok(()),
-                (Some(i), Some(d)) => {
-                    prop_ensure!(
-                        pts[i].dist_sq(q).total_cmp(&d).is_eq(),
-                        "grid nearest at {} not minimal",
-                        i
-                    );
-                    Ok(())
-                }
-                _ => Err("grid and brute force disagree on existence".into()),
-            }
         },
     );
 }

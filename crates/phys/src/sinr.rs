@@ -11,21 +11,14 @@
 //! addends.
 
 use crate::model::PhysModel;
-use rim_geom::SpatialIndex;
+use rim_geom::{median_hint, SpatialIndex};
 
 /// Builds the spatial index the physical kernels scatter over: the
-/// median positive cutoff radius makes a good cell hint, same
-/// heuristic as the disk engines' `build_index`.
-// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
+/// [`median_hint`] of the positive cutoff radii makes a good cell hint,
+/// same heuristic as the disk engines' `build_index`.
 pub fn build_phys_index(m: &PhysModel) -> SpatialIndex {
     let _span = rim_obs::span("phys/index_build");
-    let mut cutoffs: Vec<f64> = (0..m.len()).map(|u| m.cutoff(u)).filter(|&c| c > 0.0).collect();
-    let hint = if cutoffs.is_empty() {
-        1.0 // all-silent model: nothing will be queried, any shape works
-    } else {
-        cutoffs.sort_unstable_by(f64::total_cmp);
-        cutoffs[cutoffs.len() / 2]
-    };
+    let hint = median_hint((0..m.len()).map(|u| m.cutoff(u)).filter(|&c| c > 0.0).collect());
     let points: Vec<rim_geom::Point> = (0..m.len()).map(|u| m.pos(u)).collect();
     SpatialIndex::build(&points, hint)
 }

@@ -4,9 +4,10 @@
 //! (Gabriel, RNG, XTC) or computes a per-node local structure (LMST,
 //! Yao) funnels through the helpers here:
 //!
-//! * [`witness_index`] builds a [`SpatialIndex`] over the node
-//!   positions, hinted by the median UDG edge length — the dominant
-//!   witness-query radius.
+//! * [`witness_index`] builds a [`SpatialIndex`] (the static
+//!   [`rim_geom::SoaGrid`], or a kd-tree on degenerate spreads) over the
+//!   node positions, hinted by the median UDG edge length — the
+//!   dominant witness-query radius.
 //! * [`filter_edges`] fans an edge predicate out over the shared chunked
 //!   scoped-thread executor ([`rim_par::par_map_ranges`]) and assembles
 //!   the kept edges *in input order*, so every engine produces the same
@@ -26,7 +27,7 @@
 //! exact naive predicate is re-evaluated on the candidates it returns,
 //! so index-backed construction equals the brute-force scan bit for bit.
 
-use rim_geom::SpatialIndex;
+use rim_geom::{median_hint, SpatialIndex};
 use rim_graph::{AdjacencyList, Edge};
 use rim_udg::NodeSet;
 
@@ -46,20 +47,14 @@ pub(crate) fn auto_workers(n: usize) -> usize {
 }
 
 /// Builds the spatial index the witness predicates query: all node
-/// positions, with the median UDG edge length as the cell hint (witness
-/// queries use radius `|uv|` of the edge under test, so the median edge
-/// balances bucket population against buckets touched). Falls back to a
-/// kd-tree on degenerate spreads.
-// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
+/// positions in the static grid, with the [`median_hint`] of the UDG
+/// edge lengths as the cell hint (witness queries use radius `|uv|` of
+/// the edge under test, so the median edge balances bucket population
+/// against buckets touched). Falls back to a kd-tree on degenerate
+/// spreads.
 pub fn witness_index(nodes: &NodeSet, udg: &AdjacencyList) -> SpatialIndex {
     let _span = rim_obs::span("control/witness_index");
-    let mut lens: Vec<f64> = udg.edges().iter().map(|e| e.weight).collect();
-    let hint = if lens.is_empty() {
-        1.0 // edgeless UDG: nothing will be queried, any shape works
-    } else {
-        lens.sort_unstable_by(f64::total_cmp);
-        lens[lens.len() / 2]
-    };
+    let hint = median_hint(udg.edges().iter().map(|e| e.weight).collect());
     SpatialIndex::build(nodes.points(), hint)
 }
 

@@ -9,9 +9,9 @@ use rim_geom::SpatialIndex;
 ///
 /// The paper normalizes the maximum transmission range to 1; pass
 /// `max_range = 1.0` for the standard UDG. Construction scatters one
-/// closed-disk query per node over a [`SpatialIndex`] (grid, or kd-tree
-/// when the spread defeats a uniform cell — the same adaptive structure
-/// the interference engine uses) and runs in `O(n + m)` expected time
+/// closed-disk query per node over a [`SpatialIndex`] (the static
+/// [`rim_geom::SoaGrid`] with cell `max_range`, or a kd-tree when the
+/// spread defeats a uniform cell) and runs in `O(n + m)` expected time
 /// for bounded densities.
 pub fn unit_disk_graph_with_range(nodes: &NodeSet, max_range: f64) -> AdjacencyList {
     assert!(max_range > 0.0 && max_range.is_finite());

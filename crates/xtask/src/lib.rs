@@ -4,8 +4,8 @@
 //! Run as `cargo run -p rim-xtask -- lint` (diagnostics; `--rule` /
 //! `--explain` filter and document rules, `--profile` reports
 //! per-rule wall-clock via `rim-obs` spans) or `-- graph --out
-//! results/callgraph.jsonl` (call-graph export; `--check` gates on
-//! staleness of the committed file). Six layers:
+//! results/callgraph.jsonl` (call-graph export, a build artifact that is
+//! not committed). Six layers:
 //!
 //! * **Token rules** ([`rules`]) over a comment/string-aware token
 //!   stream ([`lexer`]): `float-eq`, `no-unwrap-in-lib`,

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p rim-xtask -- lint  [--format human|jsonl] [--root PATH]
 //!                                 [--rule NAME] [--explain RULE] [--profile]
-//! cargo run -p rim-xtask -- graph [--root PATH] [--out PATH] [--check]
+//! cargo run -p rim-xtask -- graph [--root PATH] [--out PATH]
 //! ```
 //!
 //! `lint` exit codes: `0` clean, `1` diagnostics found, `2` usage or
@@ -11,9 +11,7 @@
 //! per-rule wall-clock after the findings. `graph` writes the
 //! workspace call graph as JSONL (one `fn` record per definition, one
 //! `edge` record per resolved call) to `--out` (default
-//! `results/callgraph.jsonl`); `--check` instead compares the freshly
-//! built graph against the committed file and exits `1` if it is
-//! stale.
+//! `results/callgraph.jsonl`, which is not committed).
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +20,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo run -p rim-xtask -- <command>\n\
   lint  [--format human|jsonl] [--root PATH] [--rule NAME] [--explain RULE] [--profile]\n\
-  graph [--root PATH] [--out PATH] [--check]";
+  graph [--root PATH] [--out PATH]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,7 +31,6 @@ fn main() -> ExitCode {
     let mut explain: Option<String> = None;
     let mut command: Option<String> = None;
     let mut profile = false;
-    let mut check = false;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -59,7 +56,6 @@ fn main() -> ExitCode {
                 None => return usage_error("--explain takes a rule name"),
             },
             "--profile" => profile = true,
-            "--check" => check = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -112,7 +108,7 @@ fn main() -> ExitCode {
 
     match command.as_deref() {
         Some("lint") => run_lint_command(&root, &format, rule_filter.as_deref(), profile),
-        Some("graph") => run_graph_command(&root, out_path, check),
+        Some("graph") => run_graph_command(&root, out_path),
         Some(c) => usage_error(&format!("unknown command `{c}`")),
         None => usage_error("missing command"),
     }
@@ -175,7 +171,7 @@ fn print_profile(snap: &rim_obs::Snapshot) {
     }
 }
 
-fn run_graph_command(root: &std::path::Path, out_path: Option<PathBuf>, check: bool) -> ExitCode {
+fn run_graph_command(root: &std::path::Path, out_path: Option<PathBuf>) -> ExitCode {
     let members = match rim_xtask::load_workspace(root) {
         Ok(m) => m,
         Err(e) => {
@@ -186,20 +182,6 @@ fn run_graph_command(root: &std::path::Path, out_path: Option<PathBuf>, check: b
     let ws = rim_xtask::model::build(&members);
     let jsonl = ws.export_jsonl();
     let out_path = out_path.unwrap_or_else(|| root.join("results/callgraph.jsonl"));
-    if check {
-        let committed = std::fs::read_to_string(&out_path).unwrap_or_default();
-        return if committed == jsonl {
-            eprintln!("rim-xtask graph --check: {} is up to date", out_path.display());
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "rim-xtask graph --check: {} is stale; regenerate with \
-                 `cargo run -p rim-xtask -- graph`",
-                out_path.display()
-            );
-            ExitCode::FAILURE
-        };
-    }
     if let Some(parent) = out_path.parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
             eprintln!("error: {}: {e}", parent.display());

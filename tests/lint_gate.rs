@@ -173,24 +173,6 @@ fn graph_oracle_verdicts_agree_with_the_token_scan() {
 }
 
 #[test]
-fn committed_call_graph_export_is_fresh() {
-    // `results/callgraph.jsonl` is a committed artifact; `graph --check`
-    // in the CLI and this test both fail when a source change alters the
-    // graph without the export being regenerated
-    // (`cargo run -p rim-xtask -- graph`).
-    let members = rim_xtask::load_workspace(root()).expect("workspace loads");
-    let ws = rim_xtask::model::build(&members);
-    let path = root().join("results/callgraph.jsonl");
-    let committed = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must be committed: {e}", path.display()));
-    assert!(
-        committed == ws.export_jsonl(),
-        "{} is stale; regenerate with `cargo run -p rim-xtask -- graph`",
-        path.display()
-    );
-}
-
-#[test]
 fn squared_distance_verdicts_agree_between_scanner_and_dataflow() {
     // The units-of-measure dataflow pass replaced the token-window
     // scanner in `run_lint`, but the scanner is retained as a second
