@@ -15,9 +15,8 @@
 
 use rim_bench::timing::Harness;
 use rim_core::physical::{
-    build_phys_index, coverage_vector_indexed, coverage_vector_naive,
-    physical_interference_vector_with, sinr_interference_indexed, sinr_interference_naive,
-    PhysModel, PhysParams,
+    coverage_vector_naive, physical_interference_vector, sinr_interference,
+    sinr_interference_naive, PhysModel, PhysParams,
 };
 use rim_topology_control::emst::euclidean_mst;
 use rim_udg::udg::unit_disk_graph;
@@ -55,18 +54,17 @@ fn main() {
             h.bench(&format!("coverage/naive/{n}"), || coverage_vector_naive(&m));
             h.bench(&format!("sinr/naive/{n}"), || sinr_interference_naive(&m));
         }
+        // Both index-backed kernels include their index build, as
+        // `rim analyze --phy` runs them.
         h.bench(&format!("coverage/indexed/{n}"), || {
-            let index = build_phys_index(&m);
-            coverage_vector_indexed(&m, &index)
+            physical_interference_vector(&m)
         });
-        h.bench(&format!("sinr/indexed/{n}"), || {
-            let index = build_phys_index(&m);
-            sinr_interference_indexed(&m, &index)
-        });
-        // The model-level entry point (index build included), as
-        // `rim analyze --phy` runs it.
+        h.bench(&format!("sinr/indexed/{n}"), || sinr_interference(&m));
+        // The model-level entry point `rim analyze --phy` calls first. It
+        // is the same function as `coverage/indexed`; the case stays so
+        // committed records keep their names.
         h.bench(&format!("engine/physical-indexed/{n}"), || {
-            physical_interference_vector_with(&m, true)
+            physical_interference_vector(&m)
         });
     }
     h.finish();

@@ -5,7 +5,7 @@ use rim_churn::{decode_snapshot, encode_snapshot, ChurnConfig, ChurnSim};
 use rim_core::analysis::InterferenceSummary;
 use rim_core::optimal::{min_interference_topology, SolverLimits};
 use rim_core::physical::{
-    dbm_to_mw, mw_to_dbm, physical_interference_vector_with, sinr_interference_with, PhysModel,
+    dbm_to_mw, mw_to_dbm, physical_interference_vector, sinr_interference, PhysModel,
     PhysParams,
 };
 use rim_core::receiver::{graph_interference, Engine};
@@ -332,8 +332,8 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
     // Everything the report prints is computed inside the root span, so
     // every stage shows up in the --obs report.
     let phys_report = phys.as_ref().map(|m| {
-        let cov = physical_interference_vector_with(m, true);
-        let sinr_mw = sinr_interference_with(m, true);
+        let cov = physical_interference_vector(m);
+        let sinr_mw = sinr_interference(m);
         let worst_cov = cov.iter().copied().max().unwrap_or(0);
         let worst_mw = sinr_mw.iter().copied().fold(0.0f64, f64::max);
         (worst_cov, worst_mw)

@@ -5,11 +5,17 @@
 //! their own `rim-phys` dependency. The physical model is a model
 //! parameter ([`PhysModel`]), not an [`crate::receiver::Engine`]: the
 //! CLI reaches it through `rim analyze --phy`.
+//!
+//! Each physical quantity has one fast kernel and one `O(n²)` oracle:
+//! [`physical_interference_vector`] / [`coverage_vector_naive`] for the
+//! θ-coverage counts and [`sinr_interference`] /
+//! [`sinr_interference_naive`] for the SINR sums. The fast kernels and
+//! [`SinrTable::of`] run on `rim_geom::for_each_covered`, the scatter
+//! that also builds the simulator's disk coverage lists.
 
 pub use rim_phys::{
-    build_phys_index, coverage_range, coverage_vector_indexed, coverage_vector_naive,
-    db_to_linear, dbm_to_mw, mw_to_dbm, physical_interference_vector_with,
-    sinr_interference_indexed, sinr_interference_naive, sinr_interference_with, standard_normal,
+    coverage_range, coverage_vector_naive, db_to_linear, dbm_to_mw, mw_to_dbm,
+    physical_interference_vector, sinr_interference, sinr_interference_naive, standard_normal,
     PhysModel, PhysParams, SinrTable,
 };
 
@@ -19,9 +25,9 @@ mod tests {
     use crate::receiver::interference_vector_naive;
     use rim_udg::{NodeSet, Topology};
 
-    /// The disk-limit theorem (`DESIGN.md` §11) on a chain: both
-    /// coverage kernels over [`PhysModel::disk_equivalent`] reproduce
-    /// the disk oracle.
+    /// The disk-limit theorem (`DESIGN.md` §11) on a chain: the naive
+    /// and the index-backed coverage kernels over
+    /// [`PhysModel::disk_equivalent`] reproduce the disk oracle.
     #[test]
     fn disk_limit_vector_matches_the_oracle_on_a_chain() {
         let t = Topology::from_pairs(
@@ -30,8 +36,7 @@ mod tests {
         );
         let oracle = interference_vector_naive(&t);
         let m = PhysModel::disk_equivalent(&t);
-        for indexed in [false, true] {
-            assert_eq!(physical_interference_vector_with(&m, indexed), oracle);
-        }
+        assert_eq!(coverage_vector_naive(&m), oracle);
+        assert_eq!(physical_interference_vector(&m), oracle);
     }
 }

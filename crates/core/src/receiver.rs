@@ -24,7 +24,6 @@
 
 use crate::parallel::num_threads;
 use crate::stream::StreamInstance;
-use rim_geom::{median_hint, SpatialIndex};
 use rim_udg::Topology;
 
 /// Strategy selector for the batch interference kernels and the
@@ -113,19 +112,6 @@ pub fn interference_vector_naive(t: &Topology) -> Vec<usize> {
         }
     }
     out
-}
-
-/// Builds a spatial index over the topology's nodes for coverage
-/// queries: the static [`rim_geom::SoaGrid`], hinted by the
-/// [`median_hint`] of the positive radii (it balances bucket population
-/// against buckets touched per query), or a kd-tree when the spread
-/// defeats any uniform cell ([`SpatialIndex::build`] decides). Layers
-/// computing coverage relations (e.g. the simulator's PHY tables) share
-/// this heuristic.
-pub fn build_index(t: &Topology) -> SpatialIndex {
-    let _span = rim_obs::span("interference/index_build");
-    let hint = median_hint(t.radii().iter().copied().filter(|&r| r > 0.0).collect());
-    SpatialIndex::build(t.nodes().points(), hint)
 }
 
 /// Per-node interference via an explicitly chosen [`Engine`]:

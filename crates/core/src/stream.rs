@@ -91,8 +91,9 @@ impl StreamInstance {
     pub fn from_topology(t: &Topology) -> Self {
         let _span = rim_obs::span("stream/build_from_topology");
         let points = SoaPoints::from_points(t.nodes().points());
-        // Same cell hint as `receiver::build_index`: the median positive
-        // radius balances bucket population against buckets per query.
+        // Same cell hint as `rim_geom::for_each_covered`: the median
+        // positive radius balances bucket population against buckets
+        // per query.
         let hint = median_hint(t.radii().iter().copied().filter(|&r| r > 0.0).collect());
         let grid = SoaGrid::build(&points, hint);
         let radii: Vec<f64> = (0..grid.len())
@@ -403,7 +404,7 @@ mod tests {
         let inst = StreamInstance::from_topology(&t);
         // The index-backed rim-phys coverage kernel in its disk limit.
         let m = crate::physical::PhysModel::disk_equivalent(&t);
-        let indexed = crate::physical::physical_interference_vector_with(&m, true);
+        let indexed = crate::physical::physical_interference_vector(&m);
         let got: Vec<usize> = inst.interference_counts().into_iter().map(|c| c as usize).collect();
         assert_eq!(got, indexed);
         for e in Engine::ALL {

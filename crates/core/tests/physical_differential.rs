@@ -3,26 +3,29 @@
 //!
 //! Three families of assertions, each over the same adversarial
 //! instance families as `differential.rs` (uniform, clustered,
-//! exponential chain, collinear, duplicate coordinates):
+//! exponential chain, collinear, duplicate coordinates) plus a uniform
+//! set with one far outlier, which puts the index-backed kernels on the
+//! kd-tree backend:
 //!
 //! 1. **Disk limit.** Under [`PhysModel::disk_equivalent`] (`α = 2`,
 //!    `θ = 1 mW`, `p_u = r_u²`, zero shadowing) both physical coverage
-//!    kernels (naive and indexed) produce *exactly* the disk model's
-//!    interference vector — integer equality against
+//!    kernels (the naive oracle and the index-backed
+//!    `physical_interference_vector`) produce *exactly* the disk
+//!    model's interference vector — integer equality against
 //!    `interference_vector_naive`, no tolerance.
 //! 2. **Kernel agreement.** Under a *generic* SINR parameterisation
-//!    (α = 3, random powers, shadowing) the indexed SINR kernel equals
-//!    the naive `O(n²)` oracle bit-for-bit (`f64::to_bits`), and the
-//!    indexed coverage kernel equals its naive twin.
+//!    (α = 3, random powers, shadowing) the index-backed SINR kernel
+//!    equals the naive `O(n²)` oracle bit-for-bit (`f64::to_bits`), and
+//!    the index-backed coverage kernel equals its naive twin.
 //! 3. **Determinism.** The same shadowing seed yields byte-identical
 //!    models and interference sums; a different seed moves them.
 
 use rim_core::physical::{
-    coverage_vector_indexed, coverage_vector_naive, physical_interference_vector_with,
-    sinr_interference_naive, sinr_interference_with, PhysModel, PhysParams,
+    coverage_vector_naive, physical_interference_vector, sinr_interference,
+    sinr_interference_naive, PhysModel, PhysParams,
 };
 use rim_core::receiver::interference_vector_naive;
-use rim_geom::Point;
+use rim_geom::{median_hint, Point, SpatialIndex};
 use rim_rng::prop::check;
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 use rim_udg::{NodeSet, Topology};
@@ -116,6 +119,20 @@ fn gen_duplicates(rng: &mut SmallRng) -> Topology {
     topology_from(rng, pts)
 }
 
+/// A uniform set plus one node at (10⁶, 10⁶): the outlier stretches the
+/// bounding box so far that the scatter's index falls back from the
+/// grid to the kd-tree (the grid's budget clamp would put the uniform
+/// set into a few buckets).
+fn gen_far_outlier(rng: &mut SmallRng) -> Topology {
+    let n = rng.gen_range(2usize..47);
+    let side = rng.gen_range(0.5f64..4.0);
+    let mut pts: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+        .collect();
+    pts.push(Point::new(1.0e6, 1.0e6));
+    topology_from(rng, pts)
+}
+
 /// A generic (non-disk-limit) SINR instantiation: α = 3, random powers
 /// over several orders of magnitude, optional shadowing.
 fn generic_model(rng: &mut SmallRng, t: &Topology) -> PhysModel {
@@ -131,35 +148,35 @@ fn generic_model(rng: &mut SmallRng, t: &Topology) -> PhysModel {
     PhysModel::with_params(t, params, &power_mw)
 }
 
-/// The disk-limit contract plus indexed-vs-naive SINR agreement, checked
-/// on one instance.
+/// The disk-limit contract plus index-backed-vs-naive SINR agreement,
+/// checked on one instance.
 fn physical_matches_disk(t: &Topology) -> Result<(), String> {
     // 1. Disk limit: both physical coverage kernels equal the disk
     //    oracle exactly.
     let oracle = interference_vector_naive(t);
     let disk = PhysModel::disk_equivalent(t);
-    for indexed in [false, true] {
-        let got = physical_interference_vector_with(&disk, indexed);
+    for (name, got) in [
+        ("naive", coverage_vector_naive(&disk)),
+        ("index-backed", physical_interference_vector(&disk)),
+    ] {
         prop_ensure!(
             got == oracle,
-            "physical kernel (indexed = {indexed}) diverged from the disk oracle\n  \
+            "{name} physical kernel diverged from the disk oracle\n  \
              got:    {:?}\n  oracle: {:?}",
             got,
             oracle
         );
     }
-    // 2. Generic parameterisation: indexed kernels equal the naive ones
-    //    bit-for-bit.
+    // 2. Generic parameterisation: the index-backed kernels equal the
+    //    naive ones bit-for-bit.
     let mut seed_rng = SmallRng::seed_from_u64(oracle.len() as u64 ^ 0x5eed);
     let m = generic_model(&mut seed_rng, t);
-    let index = rim_core::physical::build_phys_index(&m);
-    prop_ensure_eq!(coverage_vector_naive(&m), coverage_vector_indexed(&m, &index));
+    prop_ensure_eq!(coverage_vector_naive(&m), physical_interference_vector(&m));
     let naive_bits: Vec<u64> = sinr_interference_naive(&m).iter().map(|x| x.to_bits()).collect();
-    let fast_bits: Vec<u64> =
-        rim_core::physical::sinr_interference_indexed(&m, &index).iter().map(|x| x.to_bits()).collect();
+    let fast_bits: Vec<u64> = sinr_interference(&m).iter().map(|x| x.to_bits()).collect();
     prop_ensure!(
         naive_bits == fast_bits,
-        "indexed SINR sums diverged from the naive oracle (bitwise)"
+        "index-backed SINR sums diverged from the naive oracle (bitwise)"
     );
     Ok(())
 }
@@ -199,6 +216,23 @@ fn physical_differential_duplicate_coordinates() {
     );
 }
 
+#[test]
+fn physical_differential_far_outlier() {
+    check("physical_differential_far_outlier", 192, gen_far_outlier, physical_matches_disk);
+}
+
+/// The far-outlier family reaches the kd-tree backend of the scatter's
+/// index: on a seeded instance, the index built from the median positive
+/// radius (the scatter's cell hint) is the kd-tree, so the family pins
+/// the index-backed kernels to the oracles off the grid as well.
+#[test]
+fn far_outlier_family_runs_on_the_kdtree() {
+    let t = gen_far_outlier(&mut SmallRng::seed_from_u64(11));
+    let hint = median_hint(t.radii().iter().copied().filter(|&r| r > 0.0).collect());
+    let index = SpatialIndex::build(t.nodes().points(), hint);
+    assert!(matches!(index, SpatialIndex::Kd(_)), "{} nodes, hint {hint}", t.num_nodes());
+}
+
 /// Seeded shadowing is bit-reproducible: the same seed yields identical
 /// powers, radii and interference sums; a different seed moves at least
 /// one power on instances with positive power and σ.
@@ -222,10 +256,9 @@ fn physical_differential_shadowing_determinism() {
                 prop_ensure_eq!(a.coverage_radius(u).to_bits(), b.coverage_radius(u).to_bits());
                 prop_ensure_eq!(a.cutoff(u).to_bits(), b.cutoff(u).to_bits());
             }
-            let sums_a: Vec<u64> =
-                sinr_interference_with(&a, true).iter().map(|x| x.to_bits()).collect();
+            let sums_a: Vec<u64> = sinr_interference(&a).iter().map(|x| x.to_bits()).collect();
             let sums_b: Vec<u64> =
-                sinr_interference_with(&b, false).iter().map(|x| x.to_bits()).collect();
+                sinr_interference_naive(&b).iter().map(|x| x.to_bits()).collect();
             prop_ensure!(
                 sums_a == sums_b,
                 "same seed must give byte-identical SINR sums, across engines"

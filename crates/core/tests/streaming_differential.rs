@@ -2,16 +2,16 @@
 //! kernel: [`StreamInstance`] must agree *exactly* — bit for bit, not
 //! within a tolerance — with [`interference_vector_naive`], the `O(n²)`
 //! oracle transcribing Definition 3.1, across the same five adversarial
-//! instance families the engines are pinned by (`differential.rs`),
-//! and the sharded accumulator variant must be
-//! invariant in the worker count.
+//! instance families the engines are pinned by (`differential.rs`) plus
+//! a uniform set with one far outlier, and the sharded accumulator
+//! variant must be invariant in the worker count.
 //!
 //! The family generators are deliberately duplicated from
 //! `differential.rs` rather than shared: each suite stays a
 //! self-contained witness, so a refactor of one cannot silently weaken
 //! the other.
 
-use rim_core::physical::{physical_interference_vector_with, PhysModel};
+use rim_core::physical::{physical_interference_vector, PhysModel};
 use rim_core::receiver::{interference_vector_naive, interference_vector_with, Engine};
 use rim_core::{sqrt_log_envelope, StreamInstance};
 use rim_geom::{Point, SoaGrid, SoaPoints};
@@ -107,6 +107,20 @@ fn gen_duplicates(rng: &mut SmallRng) -> Topology {
     topology_from(rng, pts)
 }
 
+/// A uniform set plus one node at (10⁶, 10⁶): the outlier stretches the
+/// bounding box so far that the scatter's index falls back from the
+/// grid to the kd-tree (the grid's budget clamp would put the uniform
+/// set into a few buckets).
+fn gen_far_outlier(rng: &mut SmallRng) -> Topology {
+    let n = rng.gen_range(2usize..47);
+    let side = rng.gen_range(0.5f64..4.0);
+    let mut pts: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+        .collect();
+    pts.push(Point::new(1.0e6, 1.0e6));
+    topology_from(rng, pts)
+}
+
 /// The streaming kernel (and its sharded variant) must reproduce the
 /// naive oracle exactly on any topology.
 fn streaming_matches_oracle(t: &Topology) -> Result<(), String> {
@@ -178,6 +192,11 @@ fn streaming_differential_duplicate_coordinates() {
     );
 }
 
+#[test]
+fn streaming_differential_far_outlier() {
+    check("streaming_differential_far_outlier", 128, gen_far_outlier, streaming_matches_oracle);
+}
+
 /// Deterministic large instances right at the suite's size bound: the
 /// property generators stay small for iteration count, so this pins the
 /// kernels against the oracle at `n = 2048` explicitly.
@@ -220,7 +239,7 @@ fn streaming_agrees_with_indexed_at_scale() {
     }
     let t = Topology::from_pairs(NodeSet::new(pts), &pairs);
 
-    let indexed = physical_interference_vector_with(&PhysModel::disk_equivalent(&t), true);
+    let indexed = physical_interference_vector(&PhysModel::disk_equivalent(&t));
     let streaming: Vec<usize> = StreamInstance::from_topology(&t)
         .interference_counts()
         .into_iter()

@@ -43,6 +43,40 @@ pub fn median_hint(mut values: Vec<f64>) -> f64 {
     *values.select_nth_unstable_by(mid, f64::total_cmp).1
 }
 
+/// The transmitter-disk relation of Definition 3.1: calls `visit(u, v)`
+/// for every transmitter `u` (a node with `radius(u) = Some(r_u)`) and
+/// every `v != u` with `dist(p_u, p_v) <= r_u`, and returns the number of
+/// disk queries issued (one per transmitter).
+///
+/// Transmitters are walked in ascending `u` over one [`SpatialIndex`]
+/// whose cell hint is the [`median_hint`] of the positive radii. The
+/// order of the `v` visited inside one query depends on the backend, so
+/// callers that keep lists per transmitter sort them; per-receiver
+/// accumulations see each `u` once and in ascending order, which keeps
+/// floating-point sums bit-identical to an ascending `O(n²)` scan.
+pub fn for_each_covered(
+    points: &[Point],
+    radius: impl Fn(usize) -> Option<f64>,
+    mut visit: impl FnMut(usize, usize),
+) -> u64 {
+    let index = {
+        let _span = rim_obs::span("geom/covered_index_build");
+        let positive = (0..points.len()).filter_map(&radius).filter(|&r| r > 0.0);
+        SpatialIndex::build(points, median_hint(positive.collect()))
+    };
+    let mut queries = 0u64;
+    for (u, &pu) in points.iter().enumerate() {
+        let Some(r_u) = radius(u) else { continue };
+        queries += 1;
+        index.for_each_in_disk(pu, r_u, |v| {
+            if v != u {
+                visit(u, v);
+            }
+        });
+    }
+    queries
+}
+
 /// A spatial index over a fixed set of points, backed by either a
 /// [`SoaGrid`] or a [`KdTree`] — chosen at build time from the spread
 /// of the data. Point indices are preserved, and disk queries use the
@@ -254,6 +288,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn covered_scatter_matches_brute_force() {
+        // Coincident points, a zero radius, a silent node (`None`) and a
+        // radius that is exactly a pairwise distance (closed boundary).
+        let pts = [
+            Point::ORIGIN,
+            Point::ORIGIN,
+            Point::new(3.0, 4.0),
+            Point::new(1.0, 0.0),
+            Point::new(9.0, 9.0),
+        ];
+        let radius = |u: usize| [Some(5.0), Some(0.0), None, Some(1.0), Some(0.5)][u];
+        let mut got = Vec::new();
+        let queries = for_each_covered(&pts, radius, |u, v| got.push((u, v)));
+        assert_eq!(queries, 4);
+        let mut want = Vec::new();
+        for u in 0..pts.len() {
+            if let Some(r) = radius(u) {
+                let hits = brute_disk(&pts, pts[u], r);
+                want.extend(hits.into_iter().filter(|&v| v != u).map(|v| (u, v)));
+            }
+        }
+        // Transmitters come in ascending order; within one, order is free.
+        assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "{got:?}");
+        got.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]

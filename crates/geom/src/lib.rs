@@ -16,6 +16,8 @@
 //!   spreads,
 //! * [`SpatialIndex`] — grid/kd-tree dispatch chosen from the data, and
 //!   [`median_hint`], the cell hint its callers derive from query radii,
+//! * [`for_each_covered`] — the transmitter-disk scatter (which `v` lie
+//!   in `D(u, r_u)` for each transmitting `u`) over one such index,
 //! * [`closest_pair`] — divide-and-conquer closest pair,
 //! * [`convex_hull`] — Andrew's monotone chain.
 //!
@@ -56,7 +58,7 @@ pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
 pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS};
 pub use hull::convex_hull;
-pub use index::{median_hint, SpatialIndex};
+pub use index::{for_each_covered, median_hint, SpatialIndex};
 pub use kdtree::KdTree;
 pub use point::Point;
 pub use soa::SoaPoints;

@@ -17,10 +17,13 @@
 //!   counts then equal the paper's interference vector on every input
 //!   — a differential-tested theorem, see `DESIGN.md` §11.
 //! * [`sinr_interference_naive`] is the permanent `O(n²)` SINR oracle;
-//!   [`sinr_interference_indexed`] reuses `rim_geom::SpatialIndex`
-//!   with a conservative range cutoff derived from the noise floor and
-//!   produces bit-identical sums (same closed predicate, same
-//!   ascending-sender accumulation order per receiver).
+//!   [`sinr_interference`] answers the same question through
+//!   `rim_geom::for_each_covered`, the workspace's one transmitter-disk
+//!   scatter, with a conservative range cutoff derived from the noise
+//!   floor, and produces bit-identical sums (same closed predicate,
+//!   same ascending-sender accumulation order per receiver).
+//!   [`physical_interference_vector`] and [`coverage_vector_naive`] are
+//!   the same pair for the θ-coverage counts.
 //! * [`SinrTable::received`] generalizes the simulator's boolean
 //!   `Coverage::received` to SINR-threshold reception.
 //!
@@ -37,7 +40,6 @@ pub mod sinr;
 pub use model::{PhysModel, PhysParams};
 pub use pathloss::{coverage_range, db_to_linear, dbm_to_mw, mw_to_dbm, standard_normal};
 pub use sinr::{
-    build_phys_index, coverage_vector_indexed, coverage_vector_naive,
-    physical_interference_vector_with, sinr_interference_indexed, sinr_interference_naive,
-    sinr_interference_with, SinrTable,
+    coverage_vector_naive, physical_interference_vector, sinr_interference,
+    sinr_interference_naive, SinrTable,
 };

@@ -184,6 +184,11 @@ impl PhysModel {
         self.points[u]
     }
 
+    /// Node positions, indexed by node id.
+    pub fn points(&self) -> &[Point] {
+        &self.points
+    }
+
     /// Whether node `u` transmits (has at least one neighbor).
     // rim-lint: allow(panic-freedom) — node ids are caller-validated against the structure
     pub fn transmits(&self, u: usize) -> bool {

@@ -1,27 +1,19 @@
 //! Coverage and SINR kernels over a [`PhysModel`], plus the
 //! precomputed [`SinrTable`] the simulator's reception check uses.
 //!
-//! Exactness contract (mirrors `rim-core::receiver`): the naive and
-//! indexed kernels evaluate the *same closed predicate at distance
-//! level* (`dist(u,v) <= ρ_u`, resp. `<= c_u`) and accumulate per
-//! receiver in the *same ascending-sender order*, so their outputs are
-//! bit-identical — for the integer coverage counts trivially, and for
-//! the floating-point SINR sums because the additions into each
+//! Exactness contract (mirrors `rim-core::receiver`): the naive oracles
+//! and the index-backed kernels evaluate the *same closed predicate at
+//! distance level* (`dist(u,v) <= ρ_u`, resp. `<= c_u`) and accumulate
+//! per receiver in the *same ascending-sender order*, so their outputs
+//! are bit-identical — for the integer coverage counts trivially, and
+//! for the floating-point SINR sums because the additions into each
 //! `out[v]` slot happen in the identical sequence with identical
-//! addends.
+//! addends. The index-backed side is one scatter,
+//! [`rim_geom::for_each_covered`], which walks transmitters in
+//! ascending id.
 
 use crate::model::PhysModel;
-use rim_geom::{median_hint, SpatialIndex};
-
-/// Builds the spatial index the physical kernels scatter over: the
-/// [`median_hint`] of the positive cutoff radii makes a good cell hint,
-/// same heuristic as the disk engines' `build_index`.
-pub fn build_phys_index(m: &PhysModel) -> SpatialIndex {
-    let _span = rim_obs::span("phys/index_build");
-    let hint = median_hint((0..m.len()).map(|u| m.cutoff(u)).filter(|&c| c > 0.0).collect());
-    let points: Vec<rim_geom::Point> = (0..m.len()).map(|u| m.pos(u)).collect();
-    SpatialIndex::build(&points, hint)
-}
+use rim_geom::for_each_covered;
 
 /// Physical coverage counts, reference `O(n²)` implementation:
 /// `out[v] = #{u != v : u transmits and dist(u,v) <= ρ_u}` — the
@@ -45,36 +37,22 @@ pub fn coverage_vector_naive(m: &PhysModel) -> Vec<usize> {
 }
 
 /// Physical coverage counts via one closed-disk query of radius `ρ_u`
-/// per transmitter — same predicate at distance level as the naive
-/// kernel, so the counts agree exactly.
-pub fn coverage_vector_indexed(m: &PhysModel, index: &SpatialIndex) -> Vec<usize> {
-    let n = m.len();
-    let mut out = vec![0usize; n];
-    let mut queries = 0u64;
-    for u in 0..n {
-        if !m.transmits(u) {
-            continue;
-        }
-        queries += 1;
-        index.for_each_in_disk(m.pos(u), m.coverage_radius(u), |v| {
-            if v != u {
-                out[v] += 1;
+/// per transmitter — same predicate at distance level as
+/// [`coverage_vector_naive`], so the counts agree exactly.
+pub fn physical_interference_vector(m: &PhysModel) -> Vec<usize> {
+    let _span = rim_obs::span("phys/coverage");
+    let mut out = vec![0usize; m.len()];
+    let queries = for_each_covered(
+        m.points(),
+        |u| m.transmits(u).then(|| m.coverage_radius(u)),
+        |_, v| {
+            if let Some(count) = out.get_mut(v) {
+                *count += 1;
             }
-        });
-    }
+        },
+    );
     rim_obs::counter_add("phys.coverage_queries", queries);
     out
-}
-
-/// Physical coverage counts via an explicit engine choice; the two
-/// engines agree bit-for-bit (differential-tested).
-pub fn physical_interference_vector_with(m: &PhysModel, indexed: bool) -> Vec<usize> {
-    let _span = rim_obs::span(if indexed { "phys/coverage_indexed" } else { "phys/coverage_naive" });
-    if indexed {
-        coverage_vector_indexed(m, &build_phys_index(m))
-    } else {
-        coverage_vector_naive(m)
-    }
 }
 
 /// Per-node interference power (mW), reference `O(n²)` implementation:
@@ -110,39 +88,24 @@ pub fn sinr_interference_naive(m: &PhysModel) -> Vec<f64> {
 /// conservative cutoff radius `c_u` per transmitter.
 ///
 /// Correctness of the cutoff: `c_u` is *model semantics*, not an
-/// approximation knob — both kernels drop exactly the contributions
-/// below the noise floor, so the indexed sums equal the naive oracle's
-/// bit-for-bit (identical addends, identical per-receiver order; see
-/// the module docs and `DESIGN.md` §11).
-pub fn sinr_interference_indexed(m: &PhysModel, index: &SpatialIndex) -> Vec<f64> {
-    let n = m.len();
-    let mut out = vec![0.0f64; n];
-    let mut queries = 0u64;
-    for u in 0..n {
-        if !m.transmits(u) {
-            continue;
-        }
-        queries += 1;
-        let pu = m.pos(u);
-        index.for_each_in_disk(pu, m.cutoff(u), |v| {
-            if v != u {
-                out[v] += m.rx_power_mw(u, pu.dist(&m.pos(v)));
+/// approximation knob — this kernel and [`sinr_interference_naive`]
+/// drop exactly the contributions below the noise floor, so the sums
+/// equal the oracle's bit-for-bit (identical addends, identical
+/// per-receiver order; see the module docs and `DESIGN.md` §11).
+pub fn sinr_interference(m: &PhysModel) -> Vec<f64> {
+    let _span = rim_obs::span("phys/sinr");
+    let mut out = vec![0.0f64; m.len()];
+    let queries = for_each_covered(
+        m.points(),
+        |u| m.transmits(u).then(|| m.cutoff(u)),
+        |u, v| {
+            if let Some(acc_mw) = out.get_mut(v) {
+                *acc_mw += m.link_rx_mw(u, v);
             }
-        });
-    }
+        },
+    );
     rim_obs::counter_add("phys.cutoff_queries", queries);
     out
-}
-
-/// Per-node interference power via an explicit engine choice; the two
-/// engines agree bit-for-bit (differential-tested).
-pub fn sinr_interference_with(m: &PhysModel, indexed: bool) -> Vec<f64> {
-    let _span = rim_obs::span(if indexed { "phys/sinr_indexed" } else { "phys/sinr_naive" });
-    if indexed {
-        sinr_interference_indexed(m, &build_phys_index(m))
-    } else {
-        sinr_interference_naive(m)
-    }
 }
 
 /// Precomputed SINR reception state: for each receiver, every
@@ -162,20 +125,12 @@ impl SinrTable {
     /// transmitter (output-sensitive, like `Coverage::of`).
     pub fn of(m: &PhysModel) -> SinrTable {
         let _span = rim_obs::span("phys/sinr_table");
-        let n = m.len();
-        let index = build_phys_index(m);
-        let mut sources: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for u in 0..n {
-            if !m.transmits(u) {
-                continue;
-            }
-            let pu = m.pos(u);
-            index.for_each_in_disk(pu, m.cutoff(u), |v| {
-                if v != u {
-                    sources[v].push((u as u32, m.rx_power_mw(u, pu.dist(&m.pos(v)))));
-                }
-            });
-        }
+        let mut sources: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m.len()];
+        for_each_covered(
+            m.points(),
+            |u| m.transmits(u).then(|| m.cutoff(u)),
+            |u, v| sources[v].push((u as u32, m.link_rx_mw(u, v))),
+        );
         SinrTable { sources, noise_mw: m.params().noise_mw, beta: m.params().beta }
     }
 
@@ -228,23 +183,10 @@ mod tests {
     #[test]
     fn indexed_kernels_match_naive_bitwise() {
         let m = chain_model();
-        let index = build_phys_index(&m);
-        assert_eq!(coverage_vector_naive(&m), coverage_vector_indexed(&m, &index));
+        assert_eq!(coverage_vector_naive(&m), physical_interference_vector(&m));
         let naive: Vec<u64> = sinr_interference_naive(&m).iter().map(|x| x.to_bits()).collect();
-        let fast: Vec<u64> =
-            sinr_interference_indexed(&m, &index).iter().map(|x| x.to_bits()).collect();
+        let fast: Vec<u64> = sinr_interference(&m).iter().map(|x| x.to_bits()).collect();
         assert_eq!(naive, fast);
-    }
-
-    #[test]
-    fn dispatch_agrees_with_kernels() {
-        let m = chain_model();
-        assert_eq!(physical_interference_vector_with(&m, true), coverage_vector_naive(&m));
-        assert_eq!(physical_interference_vector_with(&m, false), coverage_vector_naive(&m));
-        let with: Vec<u64> =
-            sinr_interference_with(&m, true).iter().map(|x| x.to_bits()).collect();
-        let naive: Vec<u64> = sinr_interference_naive(&m).iter().map(|x| x.to_bits()).collect();
-        assert_eq!(with, naive);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! (`rim_core::physical`; SINR-threshold reception itself lives in
 //! [`rim_core::physical::SinrTable`]).
 
-use rim_core::physical::{build_phys_index, PhysModel};
-use rim_core::receiver::build_index;
+use rim_core::physical::PhysModel;
+use rim_geom::{for_each_covered, Point};
 use rim_udg::Topology;
 
 /// Precomputed coverage relations of a topology.
@@ -21,34 +21,16 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    /// Builds the coverage relation for a topology.
+    /// Builds the coverage relation for a topology: transmitter `u`
+    /// (a node with at least one link) covers `v` iff `|uv| <= r_u`.
     ///
-    /// One closed-disk query per transmitter over the shared interference
-    /// index (same predicate as the batch kernels, `|uv| <= r_u` at
-    /// distance level), so construction is output-sensitive instead of
-    /// `O(n²)`. Both adjacency lists come out in ascending order:
-    /// `coverers[v]` because senders are scattered in ascending `u`,
-    /// `covered[u]` by an explicit sort (index visit order is
-    /// backend-dependent).
+    /// One closed-disk query per transmitter (same predicate as the batch
+    /// kernels, at distance level), so construction is output-sensitive
+    /// instead of `O(n²)`.
     pub fn of(t: &Topology) -> Self {
-        let n = t.num_nodes();
-        let nodes = t.nodes();
-        let index = build_index(t);
-        let mut coverers = vec![Vec::new(); n];
-        let mut covered = vec![Vec::new(); n];
-        for u in 0..n {
-            if t.graph().degree(u) == 0 {
-                continue; // never transmits
-            }
-            index.for_each_in_disk(nodes.pos(u), t.radius(u), |v| {
-                if v != u {
-                    coverers[v].push(u as u32);
-                    covered[u].push(v as u32);
-                }
-            });
-            covered[u].sort_unstable();
-        }
-        Coverage { coverers, covered }
+        Coverage::of_disks(t.nodes().points(), |u| {
+            (t.graph().degree(u) > 0).then(|| t.radius(u))
+        })
     }
 
     /// Builds the coverage relation under a physical (SINR) model:
@@ -57,21 +39,23 @@ impl Coverage {
     /// the lists equal [`Coverage::of`]'s exactly (the disk-limit
     /// theorem, `DESIGN.md` §11) — a differential-tested contract.
     pub fn of_physical(m: &PhysModel) -> Self {
-        let n = m.len();
-        let index = build_phys_index(m);
+        Coverage::of_disks(m.points(), |u| m.transmits(u).then(|| m.coverage_radius(u)))
+    }
+
+    /// Both adjacency lists of the disks `D(u, radius(u))`, in ascending
+    /// order: `coverers[v]` because the scatter walks senders in
+    /// ascending `u`, `covered[u]` by an explicit sort (index visit order
+    /// is backend-dependent).
+    fn of_disks(points: &[Point], radius: impl Fn(usize) -> Option<f64>) -> Self {
+        let n = points.len();
         let mut coverers = vec![Vec::new(); n];
         let mut covered = vec![Vec::new(); n];
-        for u in 0..n {
-            if !m.transmits(u) {
-                continue; // silent
-            }
-            index.for_each_in_disk(m.pos(u), m.coverage_radius(u), |v| {
-                if v != u {
-                    coverers[v].push(u as u32);
-                    covered[u].push(v as u32);
-                }
-            });
-            covered[u].sort_unstable();
+        for_each_covered(points, radius, |u, v| {
+            coverers[v].push(u as u32);
+            covered[u].push(v as u32);
+        });
+        for list in &mut covered {
+            list.sort_unstable();
         }
         Coverage { coverers, covered }
     }

@@ -31,9 +31,9 @@
 //!
 //! Construction is engine-selectable: Gabriel/RNG witness predicates,
 //! LMST's per-node local MSTs, XTC's edge filter, and Yao's cone
-//! selection all run `naive | indexed | parallel | auto` (see
-//! [`pipeline`] and [`Baseline::build_with`]); every engine produces
-//! the same topology — a differential-tested invariant — and the naive
+//! selection all run `naive | auto` (see [`pipeline`] and
+//! [`Baseline::build_with`]); both engines produce the same topology —
+//! a differential-tested invariant — and the naive
 //! witness scans are retained verbatim as oracles.
 
 #![forbid(unsafe_code)]

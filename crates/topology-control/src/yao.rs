@@ -6,11 +6,11 @@
 //! *either* endpoint selected it), the convention of the CBTC family. For
 //! `k >= 6` the result is connected on each UDG component and a spanner.
 //!
-//! The per-node cone selection is already neighborhood-local, so the
-//! `Naive` and `Indexed` engines share the serial path; the `Parallel`
-//! engine fans nodes out over the shared executor and merges the
-//! selected links through a sorted, deduplicated pair list — the same
-//! edge set for every thread count.
+//! The per-node cone selection is already neighborhood-local, so both
+//! engines run the same code: `Naive` serially, `Auto` on
+//! `auto_workers(n)` threads of the shared executor (one below 2048
+//! nodes). The workers' selected links merge through a sorted,
+//! deduplicated pair list — the same edge set for every thread count.
 
 use crate::pipeline;
 use rim_core::receiver::Engine;

@@ -370,83 +370,17 @@ pub const RETAINED_ORACLES: &[&str] = &[
     "sinr_interference_naive",
 ];
 
-/// Workspace-level audit: for each retained oracle in
-/// [`RETAINED_ORACLES`] that is *defined* in library sources, there
-/// must be at least one caller in test scope (integration tests,
-/// benches, examples, or `#[cfg(test)]` modules).
+/// `naive-oracle-retained`: for each oracle in [`RETAINED_ORACLES`]
+/// that has a non-test definition, at least one such definition must be
+/// reachable from a test-scope function (integration tests, benches,
+/// examples, `#[cfg(test)]` modules) in the workspace call graph. "The
+/// name appears in a test file" is not enough; an actual call chain
+/// must exist.
 ///
 /// The definition gate keeps the audit silent on workspaces that never
 /// had an oracle (e.g. the lint-test fixture); deleting a definition
 /// together with its callers instead trips `unused`/compile failures in
 /// the crates whose suites import it.
-pub fn audit_oracle_retained(members: &[Member], out: &mut Vec<Diagnostic>) {
-    for oracle in RETAINED_ORACLES {
-        audit_one_oracle(oracle, members, out);
-    }
-}
-
-/// The per-oracle check behind [`audit_oracle_retained`].
-fn audit_one_oracle(oracle: &str, members: &[Member], out: &mut Vec<Diagnostic>) {
-    // Definition site: `fn <oracle>` in lib sources.
-    let mut def: Option<(String, u32)> = None;
-    for member in members {
-        for (path, tokens, _) in &member.lib_sources {
-            let code: Vec<&Token> = tokens
-                .iter()
-                .filter(|t| !matches!(t.kind, Kind::Comment | Kind::DocComment))
-                .collect();
-            for w in code.windows(2) {
-                if w[0].text == "fn" && w[1].kind == Kind::Ident && w[1].text == oracle {
-                    def = Some((path.clone(), w[1].line));
-                }
-            }
-        }
-    }
-    let Some((def_file, def_line)) = def else { return };
-
-    // Callers in test scope: any identifier reference in tests/benches/
-    // examples files, or inside a `#[cfg(test)]` module of a lib source.
-    // (Identifier tokens never come from comments — the lexer classifies
-    // those separately — so doc mentions don't count as callers.)
-    let mut callers = 0usize;
-    for member in members {
-        for (_, tokens, _) in &member.test_sources {
-            callers += tokens
-                .iter()
-                .filter(|t| t.kind == Kind::Ident && t.text == oracle)
-                .count();
-        }
-        for (_, tokens, ranges) in &member.lib_sources {
-            callers += tokens
-                .iter()
-                .enumerate()
-                .filter(|(i, t)| {
-                    t.kind == Kind::Ident
-                        && t.text == oracle
-                        && ranges.iter().any(|&(s, e)| *i >= s && *i < e)
-                })
-                .count();
-        }
-    }
-    if callers == 0 {
-        out.push(Diagnostic {
-            rule: "naive-oracle-retained",
-            file: def_file,
-            line: def_line,
-            message: format!(
-                "`{oracle}` is defined but no test, bench, or example references \
-                 it; the differential-oracle suites must keep exercising the naive \
-                 reference implementations"
-            ),
-        });
-    }
-}
-
-/// Graph-backed successor of [`audit_oracle_retained`]: an oracle is
-/// retained iff at least one of its non-test definitions is reachable
-/// from a test-scope function in the workspace call graph. Stricter
-/// than the token scan — "the name appears in a test file" is not
-/// enough; an actual call chain must exist.
 pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let reach = ws.reachable_from_tests();
     for oracle in RETAINED_ORACLES {
@@ -457,7 +391,7 @@ pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             .filter(|&i| !ws.fns[i].in_test && !ws.files[ws.fns[i].file_idx].is_test_source)
             .collect();
         if defs.is_empty() {
-            continue; // fixture-style workspaces: silent, like the token scan
+            continue; // fixture-style workspaces define no oracle
         }
         if !defs.iter().any(|&i| reach[i]) {
             let d = &ws.fns[defs[0]];
@@ -489,8 +423,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "parallel_map",
     "filter_edges",
     "witness_index",
-    "physical_interference_vector_with",
-    "sinr_interference_with",
+    "physical_interference_vector",
+    "sinr_interference",
     "interference_counts",
     "interference_counts_sharded",
     "par_scatter_u32",
@@ -1184,21 +1118,24 @@ mod tests {
         m
     }
 
+    /// Runs the graph-backed `naive-oracle-retained` audit on a
+    /// one-member workspace.
+    fn oracle_audit(lib: &str, test_src: Option<&str>) -> Vec<Diagnostic> {
+        run_graph_audit(lib, test_src, |ws, _, out| audit_oracle_retained_graph(ws, out))
+    }
+
     #[test]
     fn oracle_audit_is_silent_without_a_definition() {
-        // Fixture-style workspaces never define the oracle: no finding.
-        let member = member_with_sources("pub fn other() {}\n", None);
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
+        // Fixture-style workspaces never define the oracle: no finding,
+        // even when their tests call other functions.
+        let out = oracle_audit("pub fn other() {}\n", Some("fn t() { other(); }\n"));
         assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]
     fn oracle_audit_fires_when_tests_stop_calling_it() {
         let lib = "pub fn interference_vector_naive() {}\n";
-        let member = member_with_sources(lib, Some("fn t() { fast_kernel(); }\n"));
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
+        let out = oracle_audit(lib, Some("fn t() { fast_kernel(); }\n"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "naive-oracle-retained");
         assert_eq!(out[0].file, "src/lib.rs");
@@ -1208,10 +1145,7 @@ mod tests {
     #[test]
     fn oracle_audit_clears_on_integration_test_callers() {
         let lib = "pub fn interference_vector_naive() {}\n";
-        let member =
-            member_with_sources(lib, Some("fn t() { interference_vector_naive(); }\n"));
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
+        let out = oracle_audit(lib, Some("fn t() { interference_vector_naive(); }\n"));
         assert!(out.is_empty(), "{out:#?}");
     }
 
@@ -1220,21 +1154,16 @@ mod tests {
         // A call from ordinary library code is not a test caller…
         let lib_only =
             "pub fn interference_vector_naive() {}\npub fn f() { interference_vector_naive(); }\n";
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member_with_sources(lib_only, None)], &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
+        assert_eq!(oracle_audit(lib_only, None).len(), 1);
         // …but a call from a #[cfg(test)] module is.
         let with_mod = "pub fn interference_vector_naive() {}\n#[cfg(test)]\nmod tests {\n\
                         fn t() { super::interference_vector_naive(); }\n}\n";
-        out.clear();
-        audit_oracle_retained(&[member_with_sources(with_mod, None)], &mut out);
+        let out = oracle_audit(with_mod, None);
         assert!(out.is_empty(), "{out:#?}");
         // Doc-comment mentions alone never count as callers.
         let doc_only =
             "/// see interference_vector_naive\npub fn interference_vector_naive() {}\n";
-        out.clear();
-        audit_oracle_retained(&[member_with_sources(doc_only, None)], &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
+        assert_eq!(oracle_audit(doc_only, None).len(), 1);
     }
 
     #[test]
@@ -1242,20 +1171,16 @@ mod tests {
         // Both witness oracles defined; only Gabriel's has a test
         // caller — exactly one finding, naming the RNG oracle.
         let lib = "pub fn is_gabriel_edge_naive() {}\npub fn is_rng_edge_naive() {}\n";
-        let member = member_with_sources(lib, Some("fn t() { is_gabriel_edge_naive(); }\n"));
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
+        let out = oracle_audit(lib, Some("fn t() { is_gabriel_edge_naive(); }\n"));
         assert_eq!(out.len(), 1, "{out:#?}");
         assert_eq!(out[0].rule, "naive-oracle-retained");
         assert!(out[0].message.contains("is_rng_edge_naive"), "{}", out[0].message);
         assert_eq!(out[0].line, 2);
         // With callers for both, the audit is silent.
-        let member = member_with_sources(
+        let out = oracle_audit(
             lib,
             Some("fn t() { is_gabriel_edge_naive(); is_rng_edge_naive(); }\n"),
         );
-        out.clear();
-        audit_oracle_retained(&[member], &mut out);
         assert!(out.is_empty(), "{out:#?}");
     }
 
@@ -1585,8 +1510,8 @@ mod tests {
 
     #[test]
     fn graph_oracle_audit_needs_a_real_call_chain() {
-        // A name-dropping test file satisfies the token scan but not the
-        // graph audit: no call edge, so the oracle is unreachable.
+        // A name-dropping test file is not a caller: no call edge, so
+        // the oracle is unreachable.
         let lib = "pub fn interference_vector_naive() {}\n";
         let out = run_graph_audit(
             lib,

@@ -12,7 +12,7 @@
 //!    interprocedurally over the PR-6 call graph (a small fixpoint:
 //!    `fn dist_sq` seeds from its name, a caller binding its result
 //!    picks up `DistanceSq` regardless of what the binding is called).
-//!    The dataflow `squared-distance-mismatch`
+//!    The `squared-distance-mismatch` rule
 //!    ([`check_unit_mismatch`]) flags any comparison or add/sub whose
 //!    sides live at different powers.
 //! 2. **Determinism** ([`audit_engine_determinism`]). Functions pinned
@@ -122,9 +122,8 @@ impl Unit {
 
 /// Classifies an identifier (binding, field, parameter, or function
 /// name) into the unit lattice. This is the **single** naming
-/// convention table: the legacy token-window scanner in
-/// [`crate::rules`] and the dataflow pass both call it, so
-/// `norm2`/`r2`-style names are classified once.
+/// convention table of the units-of-measure pass, so `norm2`/`r2`-style
+/// names are classified in one place.
 pub fn ident_unit(name: &str) -> Unit {
     let lower = name.to_ascii_lowercase();
     let base = lower
@@ -680,14 +679,13 @@ fn tail_unit(block: &Block, env: &mut BTreeMap<String, Unit>, ctx: &UnitCtx) -> 
     block.tail.as_ref().map(|t| unit_of(t, env, ctx)).unwrap_or(Unit::Unknown)
 }
 
-/// The dataflow `squared-distance-mismatch`: flags comparisons and
+/// `squared-distance-mismatch`: flags comparisons and
 /// add/sub (including `+=`/`-=`) whose operands live at different
 /// metric powers. The same walk also carries `power-domain-mismatch`:
 /// linear milliwatts (`_mw`) meeting log-domain dBm/dB (`_dbm`/`_db`)
 /// in a comparison or addition — the classic link-budget bug the
 /// `rim-phys` naming convention exists to prevent. Pragmas are accepted
-/// at the site or on the `fn` line, the same contract as the legacy
-/// token scanner it upgrades.
+/// at the site or on the `fn` line.
 pub fn check_unit_mismatch(
     ws: &Workspace,
     flow: &Flow,
@@ -770,8 +768,8 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "xtc_with",
     "yao_graph_with",
     "gabriel_graph_with",
-    "physical_interference_vector_with",
-    "sinr_interference_with",
+    "physical_interference_vector",
+    "sinr_interference",
     "interference_counts_sharded",
     "par_scatter_u32",
     "remove_node",
@@ -1901,6 +1899,49 @@ mod tests {
     fn opaque_macro_indexing_stays_an_obligation() {
         let audit = audit_src("matches!(v[i], Some(x) if x > 0)");
         assert_eq!(audit.counts(), (0, 1), "{audit:?}");
+    }
+
+    /// Runs the dataflow `squared-distance-mismatch` /
+    /// `power-domain-mismatch` pass over `body` wrapped in a one-function
+    /// workspace.
+    fn unit_mismatches(body: &str) -> Vec<Diagnostic> {
+        let (tokens, ranges) = crate::rules::prepare(&format!("pub fn f() {{ {body} }}\n"));
+        let members = [crate::audit::Member {
+            dir: std::path::PathBuf::from("/nonexistent"),
+            manifest_rel: "Cargo.toml".to_string(),
+            manifest: crate::audit::parse_manifest("[package]\nname = \"demo\"\n"),
+            lib_sources: vec![("src/lib.rs".to_string(), tokens, ranges)],
+            test_sources: Vec::new(),
+        }];
+        let ws = crate::model::build(&members);
+        let mut out = Vec::new();
+        check_unit_mismatch(&ws, &analyze(&ws), &BTreeMap::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn sq_mismatch_fires_on_mixed_powers() {
+        for src in [
+            "if a.dist_sq(b) <= r { }",
+            "if dist < r * r { }",
+            "if d.powi(2) <= radius { }",
+        ] {
+            let out = unit_mismatches(src);
+            assert_eq!(out.len(), 1, "{src}: {out:#?}");
+            assert_eq!(out[0].rule, "squared-distance-mismatch", "{src}");
+        }
+    }
+
+    #[test]
+    fn sq_mismatch_clean_on_consistent_powers() {
+        for src in [
+            "if a.dist(b) <= r { }",
+            "if a.dist_sq(b) <= r * r { }",
+            "if a.dist_sq(b) <= r_sq { }",
+            "if n < m { }",
+        ] {
+            assert!(unit_mismatches(src).is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   recovery that the self-test requires to never trigger on the
 //!   workspace itself.
 //! * **Dataflow passes** ([`flow`]): units-of-measure inference
-//!   powering the dataflow `squared-distance-mismatch` (the legacy
-//!   token scanner is retained and the gate asserts agreement), the
+//!   powering `squared-distance-mismatch` and
+//!   `power-domain-mismatch`, the
 //!   `engine-determinism` rule (no atomic read-modify-write, RNG
 //!   draw, wall-clock read, or sink installation reachable from the
 //!   determinism-pinned engine roots), and a const-bounds pass whose

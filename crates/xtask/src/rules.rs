@@ -2,11 +2,12 @@
 //!
 //! Every rule is lexical: no type information, no parse tree. Each
 //! heuristic is tuned so the *workspace's idioms* stay clean and the
-//! mistakes the rules exist to catch (exact float comparison, mixing a
-//! squared distance against an unsquared radius, panicking library
-//! paths) fire reliably. Intentional violations are silenced in place
-//! with `// rim-lint: allow(<rule>)` pragmas, which keeps every
-//! exception visible at the site that needs it.
+//! mistakes the rules exist to catch (exact float comparison, panicking
+//! library paths) fire reliably. Mixed metric powers need unit
+//! inference and are checked by the dataflow pass in [`crate::flow`].
+//! Intentional violations are silenced in place with
+//! `// rim-lint: allow(<rule>)` pragmas, which keeps every exception
+//! visible at the site that needs it.
 
 use crate::lexer::{lex, Kind, Token};
 use crate::Diagnostic;
@@ -25,8 +26,7 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
         "squared-distance-mismatch",
         "a comparison or add/sub mixes a squared quantity with an unsquared \
          distance or radius; both sides must live at the same metric power \
-         (checked by the units-of-measure dataflow pass and a legacy token \
-         scanner kept in agreement)",
+         (checked by the units-of-measure dataflow pass)",
     ),
     (
         "power-domain-mismatch",
@@ -149,13 +149,6 @@ const FLOAT_HINT_IDENTS: &[&str] = &[
     "EPSILON",
     "MIN_POSITIVE",
 ];
-
-/// Identifiers that denote an *unsquared* metric quantity. Kept as an
-/// explicit list (rather than every power-1 name the unit inferencer
-/// knows) because the token scanner has no dataflow to rule out
-/// loop-variable shorthands like `d`; the dataflow pass in
-/// [`crate::flow`] covers the wider net.
-const PLAIN_DIST_IDENTS: &[&str] = &["dist", "distance", "radius", "r"];
 
 /// Counter-evidence that a comparison is on integers after all: an
 /// integer-typed name or literal in the window (`dist[v] == usize::MAX`
@@ -396,8 +389,7 @@ fn operand_window<'a>(tokens: &'a [Token], op: usize, dir: i64) -> Vec<&'a Token
         out.push(t);
     }
     if dir < 0 {
-        // Collected right-to-left; restore source order so sequence
-        // checks (`powi ( 2 )`) see the tokens as written.
+        // Collected right-to-left; restore source order.
         out.reverse();
     }
     out
@@ -483,77 +475,6 @@ fn declared_float_idents(tokens: &[Token]) -> std::collections::BTreeSet<String>
         }
     }
     out
-}
-
-/// Is this operand window "squared"? True for idents the shared unit
-/// inferencer classifies at power 2 (`dist_sq`, `norm2`, `r2`, …),
-/// `powi(2)`, and self-multiplications like `r * r`.
-fn window_is_squared(window: &[&Token]) -> bool {
-    for (i, t) in window.iter().enumerate() {
-        if t.kind == Kind::Ident && crate::flow::ident_unit(&t.text).power() == Some(2) {
-            return true;
-        }
-        if t.kind == Kind::Ident && t.text == "powi" {
-            // …powi ( 2 )
-            let rest: Vec<&&Token> = window[i + 1..].iter().take(3).collect();
-            if rest.len() == 3 && rest[0].text == "(" && rest[1].text == "2" && rest[2].text == ")"
-            {
-                return true;
-            }
-        }
-        if t.kind == Kind::Punct && t.text == "*" {
-            // ident * ident with equal names (allowing a leading `.`-path tail).
-            let left = window[..i].iter().rev().find(|w| w.kind == Kind::Ident);
-            let right = window[i + 1..].iter().find(|w| w.kind == Kind::Ident);
-            if let (Some(l), Some(r)) = (left, right) {
-                if l.text == r.text {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Is this operand window a *plain* (unsquared) metric quantity?
-fn window_is_plain_dist(window: &[&Token]) -> bool {
-    window
-        .iter()
-        .any(|t| t.kind == Kind::Ident && PLAIN_DIST_IDENTS.contains(&t.text.as_str()))
-}
-
-/// `squared-distance-mismatch`: a comparison with exactly one squared
-/// side and one plain-distance side. Comparing `dist_sq(u,v)` against
-/// `r` (or `dist` against `r * r`) silently changes which boundary
-/// points satisfy Def 3.1's closed predicate and breaks the scale of
-/// the comparison; both sides must live at the same power.
-pub fn squared_distance_mismatch(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if t.kind != Kind::Punct
-            || !matches!(t.text.as_str(), "<" | "<=" | ">" | ">=" | "==" | "!=")
-        {
-            continue;
-        }
-        let left = operand_window(ctx.tokens, i, -1);
-        let right = operand_window(ctx.tokens, i, 1);
-        let lsq = window_is_squared(&left);
-        let rsq = window_is_squared(&right);
-        let lpl = !lsq && window_is_plain_dist(&left);
-        let rpl = !rsq && window_is_plain_dist(&right);
-        if (lsq && rpl) || (rsq && lpl) {
-            ctx.emit(
-                out,
-                "squared-distance-mismatch",
-                t.line,
-                format!(
-                    "comparison `{}` mixes a squared quantity with an unsquared \
-                     distance/radius; compare both at the same power (the workspace \
-                     convention is distance-level, matching Def 3.1's closed predicate)",
-                    t.text
-                ),
-            );
-        }
-    }
 }
 
 /// `no-unwrap-in-lib`: `.unwrap()`, `.expect(…)`, and `panic!` in
@@ -822,26 +743,6 @@ mod tests {
         // The wrong rule name does not suppress.
         let wrong = "// rim-lint: allow(no-unwrap-in-lib)\nif x == 1.0 { }";
         assert_eq!(run(float_eq, wrong).len(), 1);
-    }
-
-    // ---- squared-distance-mismatch ----
-
-    #[test]
-    fn sq_mismatch_fires_on_mixed_powers() {
-        assert_eq!(run(squared_distance_mismatch, "if a.dist_sq(b) <= r { }").len(), 1);
-        assert_eq!(run(squared_distance_mismatch, "if dist < r * r { }").len(), 1);
-        assert_eq!(run(squared_distance_mismatch, "if d.powi(2) <= radius { }").len(), 1);
-    }
-
-    #[test]
-    fn sq_mismatch_clean_on_consistent_powers() {
-        assert_eq!(run(squared_distance_mismatch, "if a.dist(b) <= r { }").len(), 0);
-        assert_eq!(run(squared_distance_mismatch, "if a.dist_sq(b) <= r * r { }").len(), 0);
-        assert_eq!(
-            run(squared_distance_mismatch, "if a.dist_sq(b) <= r_sq { }").len(),
-            0
-        );
-        assert_eq!(run(squared_distance_mismatch, "if n < m { }").len(), 0);
     }
 
     // ---- no-unwrap-in-lib ----
